@@ -94,7 +94,6 @@ from repro.api import (
     EvaluateResult,
     FleetConfig,
     FleetReport,
-    RemoteCache,
     TierStats,
     evaluate_cell,
     evaluate_request,
@@ -193,7 +192,6 @@ __all__ = [
     "CampaignSpec",
     "FleetConfig",
     "FleetReport",
-    "RemoteCache",
     "load_campaign",
     "run_campaign",
     # workloads

@@ -27,9 +27,7 @@ count (1 = serial).  Parallel and serial builds of the same config are
 bit-identical, and so are builds under any cache budget — eviction is
 invisible to results.
 
-``cache=CacheConfig(...)`` is the one structured way to shape caching
-(replacing the ad-hoc spread of ``cache=``/``cache_dir=`` spellings,
-which remain accepted as deprecated aliases for one release):
+``cache=CacheConfig(...)`` is the one structured way to shape caching:
 
     table = api.run_table1(
         jobs=4,
@@ -47,7 +45,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.errors import PMUConfigError, RequestError, WorkloadError
-from repro.cpu.engine import DEFAULT_ENGINE, ENGINE_NAMES, validate_engine
 from repro.cpu.uarch import get_uarch
 from repro.core.cache import (
     CACHE_STATS_SCHEMA_VERSION,
@@ -55,7 +52,6 @@ from repro.core.cache import (
     CacheConfig,
     CacheStats,
     CacheTier,
-    RemoteCache,
     TierStats,
     resolve_cache,
 )
@@ -83,8 +79,6 @@ from repro.workloads.registry import APP_NAMES, KERNEL_NAMES, get_workload
 __all__ = [
     "API_SCHEMA_VERSION",
     "CACHE_STATS_SCHEMA_VERSION",
-    "DEFAULT_ENGINE",
-    "ENGINE_NAMES",
     "ArtifactCache",
     "CacheConfig",
     "CacheStats",
@@ -99,7 +93,6 @@ __all__ = [
     "FleetConfig",
     "FleetReport",
     "Harness",
-    "RemoteCache",
     "TableResult",
     "TierStats",
     "compare_bench",
@@ -157,21 +150,17 @@ class EvaluateRequest:
     scale: float = 1.0
     repeats: int = 5
     seed_base: int = 100
-    engine: str = DEFAULT_ENGINE
     fidelity: bool = False
     fidelity_top_n: int = TOP_N_DEFAULT
     schema_version: int = API_SCHEMA_VERSION
 
-    #: JSON field names, in canonical order.  ``engine`` is additive and
-    #: defaulted: absent on the wire it resolves to the reference engine,
-    #: and :meth:`to_dict` omits it at the default, so pre-engine clients
-    #: see byte-identical responses — no ``API_SCHEMA_VERSION`` bump.
-    #: ``fidelity`` / ``fidelity_top_n`` follow the same additive pattern:
-    #: off the wire at their defaults, so a request that never asks for
-    #: fidelity serializes (and answers) exactly as before.
+    #: JSON field names, in canonical order.  ``fidelity`` /
+    #: ``fidelity_top_n`` are additive: off the wire at their defaults, so
+    #: a request that never asks for fidelity serializes (and answers)
+    #: exactly as before.
     FIELDS = ("machine", "workload", "method", "period", "scale",
-              "repeats", "seed_base", "engine", "fidelity",
-              "fidelity_top_n", "schema_version")
+              "repeats", "seed_base", "fidelity", "fidelity_top_n",
+              "schema_version")
 
     def validate(self) -> "EvaluateRequest":
         """Raise :class:`RequestError` unless every field is usable."""
@@ -207,12 +196,6 @@ class EvaluateRequest:
         if not isinstance(self.seed_base, int) or isinstance(self.seed_base,
                                                              bool):
             raise RequestError("seed_base must be an integer")
-        if not isinstance(self.engine, str):
-            raise RequestError("engine must be a string")
-        try:
-            validate_engine(self.engine)
-        except PMUConfigError as exc:
-            raise RequestError(str(exc)) from None
         if not isinstance(self.fidelity, bool):
             raise RequestError("fidelity must be a boolean")
         if (not isinstance(self.fidelity_top_n, int)
@@ -231,8 +214,7 @@ class EvaluateRequest:
 
     def spec(self) -> CellSpec:
         """The cell this request addresses."""
-        return CellSpec(self.machine, self.workload, self.method, self.period,
-                        self.engine)
+        return CellSpec(self.machine, self.workload, self.method, self.period)
 
     def config(self) -> ExperimentConfig:
         """The experiment configuration this request implies."""
@@ -248,15 +230,11 @@ class EvaluateRequest:
         return cls(machine=spec.machine, workload=spec.workload,
                    method=spec.method, period=spec.period,
                    scale=config.scale, repeats=config.repeats,
-                   seed_base=config.seed_base, engine=spec.engine)
+                   seed_base=config.seed_base)
 
     def to_dict(self) -> dict[str, object]:
         document = {name: getattr(self, name) for name in self.FIELDS}
-        # The default engine stays off the wire: responses for requests
-        # that never mentioned engines remain byte-identical.  Likewise
-        # fidelity: a request that never asked for it carries no trace.
-        if self.engine == DEFAULT_ENGINE:
-            del document["engine"]
+        # A request that never asked for fidelity carries no trace of it.
         if not self.fidelity:
             del document["fidelity"]
         if self.fidelity_top_n == TOP_N_DEFAULT:
@@ -401,11 +379,10 @@ def run_table1(
     cache: CacheArg = None,
     methods: tuple[str, ...] = TABLE_METHOD_KEYS,
     workloads: tuple[str, ...] = KERNEL_NAMES,
-    engine: str = DEFAULT_ENGINE,
 ) -> TableResult:
     """Regenerate Table 1 (kernel accuracy errors)."""
     return build_table1(_harness(config, cache), methods=methods,
-                        workloads=workloads, jobs=jobs, engine=engine)
+                        workloads=workloads, jobs=jobs)
 
 
 def run_table2(
@@ -415,11 +392,10 @@ def run_table2(
     cache: CacheArg = None,
     methods: tuple[str, ...] = TABLE_METHOD_KEYS,
     workloads: tuple[str, ...] = APP_NAMES,
-    engine: str = DEFAULT_ENGINE,
 ) -> TableResult:
     """Regenerate Table 2 (application accuracy errors)."""
     return build_table2(_harness(config, cache), methods=methods,
-                        workloads=workloads, jobs=jobs, engine=engine)
+                        workloads=workloads, jobs=jobs)
 
 
 def evaluate_cell(
@@ -447,7 +423,6 @@ def run_fidelity(
     top_n: int = TOP_N_DEFAULT,
     config: ExperimentConfig | None = None,
     cache: CacheArg = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> FidelityStats | None:
     """Score one cell's consumer-outcome fidelity (DESIGN.md §11).
 
@@ -460,8 +435,7 @@ def run_fidelity(
     request = EvaluateRequest(
         machine=machine, workload=workload, method=method, period=period,
         scale=config.scale, repeats=config.repeats,
-        seed_base=config.seed_base, engine=engine,
-        fidelity=True, fidelity_top_n=top_n,
+        seed_base=config.seed_base, fidelity=True, fidelity_top_n=top_n,
     )
     return evaluate_request(request, cache=cache).fidelity
 
@@ -515,11 +489,6 @@ def table_document(table: TableResult) -> dict[str, object]:
                 "workload": spec.workload,
                 "method": spec.method,
                 "period": spec.period,
-                # Engine is provenance, not identity (results are
-                # bit-identical); the default stays off disk so existing
-                # documents round-trip unchanged.
-                **({} if spec.engine == DEFAULT_ENGINE
-                   else {"engine": spec.engine}),
                 "errors": None if stats is None else list(stats.errors),
             }
             for spec, stats in table.cells.items()
@@ -540,8 +509,7 @@ def table_from_document(document: dict[str, object]) -> TableResult:
     )
     for cell in document["cells"]:
         spec = CellSpec(cell["machine"], cell["workload"], cell["method"],
-                        cell["period"],
-                        cell.get("engine", DEFAULT_ENGINE))
+                        cell["period"])
         errors = cell["errors"]
         table.cells[spec] = (
             None if errors is None

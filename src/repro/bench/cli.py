@@ -49,7 +49,6 @@ def cmd_bench_run(args: argparse.Namespace, out: Emitter) -> int:
         cache_max_bytes=getattr(args, "cache_max_bytes", None),
         cache_hot_entries=getattr(args, "cache_hot_entries", 0) or 0,
         area=args.area,
-        engine=args.engine,
     )
     if args.out:
         path = save_bench(result, args.out)
@@ -152,13 +151,6 @@ def register_parsers(sub, add_obs_args, add_cache_budget_args=None) -> None:
                      help="seeded repeats per cell (default 1)")
     pbr.add_argument("--seed", type=int, default=100,
                      help="first seed of the repeat range (default 100)")
-    from repro.cpu.engine import DEFAULT_ENGINE, ENGINE_NAMES
-
-    pbr.add_argument("--engine", choices=ENGINE_NAMES,
-                     default=DEFAULT_ENGINE,
-                     help="execution back-end to measure (default "
-                          "'reference'; non-default engines write "
-                          "BENCH_<suite>_<engine>.json)")
     pbr.add_argument("--iterations", type=int, default=3, metavar="N",
                      help="measured passes per phase (default 3; the "
                           "headline value is their median)")

@@ -62,7 +62,6 @@ from repro.bench.result import BenchResult, GuardCheck, Metric
 from repro.core.cache import CacheConfig
 from repro.core.experiment import Harness
 from repro.core.methods import method_available
-from repro.cpu.engine import DEFAULT_ENGINE, validate_engine
 from repro.core.tables import TABLE_METHOD_KEYS
 from repro.cpu.uarch import get_uarch
 from repro.errors import BenchError
@@ -140,7 +139,6 @@ def _build_requests(
     scale: float,
     repeats: int,
     seed_base: int,
-    engine: str,
 ) -> list[api.EvaluateRequest]:
     if workloads is None:
         workloads = KERNEL_NAMES if suite == "table1" else APP_NAMES
@@ -151,7 +149,6 @@ def _build_requests(
             requests.append(api.EvaluateRequest(
                 machine=machine, workload=workload, method=method,
                 scale=scale, repeats=repeats, seed_base=seed_base,
-                engine=engine,
             ).validate().resolved())
     return requests
 
@@ -185,7 +182,6 @@ def run_bench(
     cache_max_bytes: int | None = None,
     cache_hot_entries: int = 0,
     area: str | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> BenchResult:
     """Measure one suite; returns a guarded :class:`BenchResult`.
 
@@ -195,9 +191,7 @@ def run_bench(
     artifact cache (a temp directory when ``None``); ``cache_max_bytes``
     and ``cache_hot_entries`` shape that cache's tiers (DESIGN.md §12), so
     the warm phase can be measured *under a budget*; ``area`` overrides
-    the result's area (defaults to the suite name, suffixed ``_<engine>``
-    for non-default engines so baselines never cross-compare).  ``engine``
-    selects the execution back-end for every cell.
+    the result's area (defaults to the suite name).
     """
     if suite not in SUITES:
         raise BenchError(f"unknown bench suite {suite!r} "
@@ -206,25 +200,21 @@ def run_bench(
         raise BenchError("iterations must be >= 1")
     if warmup < 0:
         raise BenchError("warmup must be >= 0")
-    try:
-        validate_engine(engine)
-    except Exception as exc:
-        raise BenchError(str(exc)) from None
     if area is None:
-        area = suite if engine == DEFAULT_ENGINE else f"{suite}_{engine}"
+        area = suite
     if suite == "sweep":
         return _run_sweep_bench(
             machine=machine, workloads=workloads, methods=methods,
             periods=periods, scale=scale, repeats=repeats,
             seed_base=seed_base, iterations=iterations, warmup=warmup,
-            min_elapsed_s=min_elapsed_s, area=area, engine=engine,
+            min_elapsed_s=min_elapsed_s, area=area,
         )
     return _run_cell_bench(
         suite, machine=machine, workloads=workloads, methods=methods,
         scale=scale, repeats=repeats, seed_base=seed_base,
         iterations=iterations, warmup=warmup, min_elapsed_s=min_elapsed_s,
         cache_dir=cache_dir, cache_max_bytes=cache_max_bytes,
-        cache_hot_entries=cache_hot_entries, area=area, engine=engine,
+        cache_hot_entries=cache_hot_entries, area=area,
     )
 
 
@@ -247,10 +237,9 @@ def _run_cell_bench(
     cache_max_bytes: int | None,
     cache_hot_entries: int,
     area: str,
-    engine: str,
 ) -> BenchResult:
     requests = _build_requests(suite, machine, workloads, methods,
-                               scale, repeats, seed_base, engine)
+                               scale, repeats, seed_base)
     uarch = get_uarch(machine)
     non_blank = sum(1 for r in requests if method_available(r.method, uarch))
 
@@ -259,7 +248,6 @@ def _run_cell_bench(
         "workloads": sorted({r.workload for r in requests}),
         "methods": sorted({r.method for r in requests}),
         "scale": scale, "repeats": repeats, "seed_base": seed_base,
-        "engine": engine,
         "iterations": iterations, "warmup": warmup,
         "min_elapsed_s": min_elapsed_s,
         "cells_total": len(requests), "cells_blank": len(requests) - non_blank,
@@ -390,7 +378,6 @@ def _run_sweep_bench(
     warmup: int,
     min_elapsed_s: float,
     area: str,
-    engine: str,
 ) -> BenchResult:
     spec = api.CampaignSpec(
         name="bench-sweep",
@@ -401,14 +388,13 @@ def _run_sweep_bench(
         seed_counts=(repeats,),
         seed_base=seed_base,
         scale=scale,
-        engine=engine,
     )
     points = len(spec.expand())
     config: dict[str, Any] = {
         "suite": "sweep", "machine": machine,
         "workloads": list(spec.workloads), "methods": list(spec.methods),
         "periods": list(spec.periods), "scale": scale, "repeats": repeats,
-        "seed_base": seed_base, "engine": engine,
+        "seed_base": seed_base,
         "iterations": iterations, "warmup": warmup,
         "min_elapsed_s": min_elapsed_s, "points": points,
     }

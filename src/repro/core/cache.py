@@ -109,15 +109,6 @@ CHECKSUM_HEADER = "X-Repro-Sha256"
 
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
-#: Accepted values of :attr:`CacheConfig.policy`.
-EVICTION_POLICIES = ("lru",)
-
-#: Accepted values of :attr:`CacheConfig.pinning`.  ``strict`` (the
-#: default) means a pinned entry is never evicted — the budget may be
-#: temporarily exceeded by pinned bytes and is re-enforced at unpin;
-#: ``none`` disables pin protection (pins become no-ops).
-PINNING_MODES = ("strict", "none")
-
 
 def body_sha256(data: bytes) -> str:
     """Hex SHA-256 of one federated entry body (transfer integrity)."""
@@ -153,14 +144,14 @@ def cache_digest(**fields: object) -> str:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Frozen description of one cache stack (budgets + policy + remote).
+    """Frozen description of one cache stack (budgets + remote).
 
     The one cache-shaping object threaded through :mod:`repro.api`, every
     CLI (``--cache-max-bytes`` / ``--cache-hot-entries``), and the
-    parallel scheduler's worker dispatch — replacing the ad-hoc spread of
-    ``cache=`` / ``cache_dir=`` spellings (which remain accepted as
-    deprecated aliases for one release).  Frozen and built from plain
-    values, so it pickles across process boundaries unchanged.
+    parallel scheduler's worker dispatch.  Frozen and built from plain
+    values, so it pickles across process boundaries unchanged.  Budgeted
+    tiers evict least-recently-used entries first and never evict a
+    pinned one.
     """
 
     #: Cache root directory (``None``: ``~/.cache/repro`` or
@@ -170,31 +161,16 @@ class CacheConfig:
     max_bytes: int | None = None
     #: Memory hot-tier entry budget (``0``: no hot tier).
     hot_entries: int = 0
-    #: Eviction policy of the budgeted tiers (see
-    #: :data:`EVICTION_POLICIES`).
-    policy: str = "lru"
-    #: Pin semantics (see :data:`PINNING_MODES`).
-    pinning: str = "strict"
     #: Base URL of a federation hub daemon (``None``: no remote tier).
     remote: str | None = None
     #: Socket timeout for remote-tier transfers.
     remote_timeout_s: float = 10.0
 
     #: JSON field names, in canonical order.
-    FIELDS = ("root", "max_bytes", "hot_entries", "policy", "pinning",
-              "remote", "remote_timeout_s")
+    FIELDS = ("root", "max_bytes", "hot_entries", "remote",
+              "remote_timeout_s")
 
     def __post_init__(self) -> None:
-        if self.policy not in EVICTION_POLICIES:
-            raise RequestError(
-                f"unknown cache eviction policy {self.policy!r} "
-                f"(know: {', '.join(EVICTION_POLICIES)})"
-            )
-        if self.pinning not in PINNING_MODES:
-            raise RequestError(
-                f"unknown cache pinning mode {self.pinning!r} "
-                f"(know: {', '.join(PINNING_MODES)})"
-            )
         if self.max_bytes is not None and (
                 not isinstance(self.max_bytes, int)
                 or isinstance(self.max_bytes, bool) or self.max_bytes <= 0):
@@ -328,8 +304,8 @@ class CacheTier:
       torn entry, and a failing backing store (a dead remote) degrades to
       a no-op, never an error.
     * :meth:`pin`/:meth:`unpin` bracket an in-flight reader; a budgeted
-      tier must not evict a pinned entry (``pinning="strict"``).  Pins
-      are refcounted and may address entries that do not exist (yet).
+      tier must not evict a pinned entry.  Pins are refcounted and may
+      address entries that do not exist (yet).
     * :meth:`evict` removes one entry if present and unpinned; budgeted
       tiers also evict autonomously to stay within budget.
     * :meth:`stats` snapshots the tier's tallies without side effects.
@@ -424,11 +400,10 @@ class MemoryTier(CacheTier):
 
     name = "mem"
 
-    def __init__(self, max_entries: int, pinning: str = "strict") -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise RequestError("memory tier needs max_entries >= 1")
         self.max_entries = max_entries
-        self.pinning = pinning
         self._lock = threading.RLock()
         #: key -> [bytes, decoded | None]; insertion order is LRU order.
         self._entries: "OrderedDict[tuple[str, str], list]" = OrderedDict()
@@ -465,7 +440,7 @@ class MemoryTier(CacheTier):
     def evict(self, kind: str, digest: str) -> bool:
         key = (kind, digest)
         with self._lock:
-            if key not in self._entries or self._pinned(key):
+            if key not in self._entries or self._pin_book.pinned(key):
                 return False
             self._bytes -= len(self._entries.pop(key)[0])
             self._record_eviction()
@@ -508,16 +483,12 @@ class MemoryTier(CacheTier):
 
     # -- internals ---------------------------------------------------------
 
-    def _pinned(self, key: tuple[str, str]) -> bool:
-        return self.pinning == "strict" and self._pin_book.pinned(key)
-
     def _enforce(self) -> None:
         # LRU sweep; pinned entries are skipped (the budget may overshoot
         # while pins are held and is re-enforced at unpin).
         while len(self._entries) > self.max_entries:
-            victim = next(
-                (key for key in self._entries if not self._pinned(key)), None
-            )
+            victim = next((key for key in self._entries
+                           if not self._pin_book.pinned(key)), None)
             if victim is None:
                 return
             self._bytes -= len(self._entries.pop(victim)[0])
@@ -562,15 +533,10 @@ class DiskTier(CacheTier):
 
     name = "disk"
 
-    def __init__(
-        self,
-        store_dir: str | Path,
-        max_bytes: int | None = None,
-        pinning: str = "strict",
-    ) -> None:
+    def __init__(self, store_dir: str | Path,
+                 max_bytes: int | None = None) -> None:
         self.store_dir = Path(store_dir)
         self.max_bytes = max_bytes
-        self.pinning = pinning
         self._lock = threading.RLock()
         self._lru: "OrderedDict[tuple[str, str], int]" = OrderedDict()
         self._total = 0
@@ -618,7 +584,7 @@ class DiskTier(CacheTier):
         key = (kind, digest)
         with self._lock:
             self._ensure_scanned()
-            if self._pinned(key):
+            if self._pin_book.pinned(key):
                 return False
             present = key in self._lru or self.contains(kind, digest)
             if not present:
@@ -694,9 +660,6 @@ class DiskTier(CacheTier):
         with contextlib.suppress(OSError):
             os.unlink(self.path(*key))
 
-    def _pinned(self, key: tuple[str, str]) -> bool:
-        return self.pinning == "strict" and self._pin_book.pinned(key)
-
     def _enforce(self) -> int:
         if self.max_bytes is None:
             return 0
@@ -704,7 +667,7 @@ class DiskTier(CacheTier):
         for key in list(self._lru):           # oldest (LRU) first
             if self._total <= self.max_bytes:
                 break
-            if self._pinned(key):
+            if self._pin_book.pinned(key):
                 continue
             self._delete(key)
             evicted += 1
@@ -885,11 +848,9 @@ class ArtifactCache:
         if tiers is None:
             tiers = []
             if self.config.hot_entries > 0:
-                tiers.append(MemoryTier(self.config.hot_entries,
-                                        pinning=self.config.pinning))
+                tiers.append(MemoryTier(self.config.hot_entries))
             tiers.append(DiskTier(self.store_dir,
-                                  max_bytes=self.config.max_bytes,
-                                  pinning=self.config.pinning))
+                                  max_bytes=self.config.max_bytes))
             if self.config.remote:
                 tiers.append(RemoteTier(
                     self.config.remote,
@@ -910,23 +871,11 @@ class ArtifactCache:
         the picklable form the parallel scheduler ships to workers."""
         return replace(self.config, root=str(self.root))
 
-    # -- paths (kept for compatibility and tests) --------------------------
-
-    def _path(self, kind: str, digest: str, suffix: str) -> Path:
-        del suffix  # the kind determines it; kept for old call sites
-        return (self.store_dir / kind / digest[:2]
-                / f"{digest}{KIND_SUFFIXES[kind]}")
-
     # -- tier traversal ----------------------------------------------------
 
-    def _load(self, kind: str, digest: str, suffix: str = "",
+    def _load(self, kind: str, digest: str,
               local_only: bool = False) -> bytes | None:
-        """Walk the stack top-down; promote a hit into the tiers above.
-
-        The old private tier hook, preserved as the internal read path
-        (``suffix`` is vestigial — the kind determines it).
-        """
-        del suffix
+        """Walk the stack top-down; promote a hit into the tiers above."""
         for index, tier in enumerate(self.tiers):
             if local_only and tier.remote:
                 continue
@@ -938,10 +887,9 @@ class ArtifactCache:
             return data
         return None
 
-    def _store(self, kind: str, digest: str, suffix: str, data: bytes,
+    def _store(self, kind: str, digest: str, data: bytes,
                local_only: bool = False) -> None:
-        """Write one entry into every tier (old private hook, kept)."""
-        del suffix
+        """Write one entry into every tier."""
         for tier in self.tiers:
             if local_only and tier.remote:
                 continue
@@ -970,8 +918,7 @@ class ArtifactCache:
     def pin_entry(self, kind: str, digest: str) -> Iterator[None]:
         """Pin one entry in every tier for the duration of the block.
 
-        Pinned entries survive budget eviction (``pinning="strict"``), so
-        an in-flight reader — a cell mid-evaluation, a federation ``GET``
+        Pinned entries survive budget eviction, so an in-flight reader — a cell mid-evaluation, a federation ``GET``
         mid-stream — never has the ground pulled from under it.  Pinning
         an absent entry is allowed (it protects the store that follows).
         """
@@ -1014,7 +961,7 @@ class ArtifactCache:
         """
         if not valid_entry_address(kind, digest):
             return False
-        self._store(kind, digest, "", data, local_only=True)
+        self._store(kind, digest, data, local_only=True)
         return True
 
     # -- accuracy stats ----------------------------------------------------
@@ -1053,8 +1000,7 @@ class ArtifactCache:
             "method": stats.method,
             "errors": list(stats.errors),
         }
-        self._store("stats", digest, "",
-                    json.dumps(document).encode("utf-8"))
+        self._store("stats", digest, json.dumps(document).encode("utf-8"))
         self._attach_decoded("stats", digest, stats)
 
     # -- fidelity stats ----------------------------------------------------
@@ -1086,8 +1032,7 @@ class ArtifactCache:
     def put_fidelity(self, digest: str, stats) -> None:
         """Persist one cell's :class:`FidelityStats`."""
         document = {"format": CACHE_FORMAT_VERSION, **stats.to_dict()}
-        self._store("fidelity", digest, "",
-                    json.dumps(document).encode("utf-8"))
+        self._store("fidelity", digest, json.dumps(document).encode("utf-8"))
         self._attach_decoded("fidelity", digest, stats)
 
     # -- numpy arrays (traces, reference counts) ---------------------------
@@ -1127,7 +1072,7 @@ class ArtifactCache:
         """Persist a named-array bundle (compressed npz)."""
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **arrays)
-        self._store(kind, digest, "", buffer.getvalue())
+        self._store(kind, digest, buffer.getvalue())
         self._attach_decoded(kind, digest, dict(arrays))
 
     # -- maintenance -------------------------------------------------------
@@ -1174,32 +1119,6 @@ class ArtifactCache:
         if self._disk is not None:
             self._disk.reset_accounting()
         return removed
-
-
-class RemoteCache(ArtifactCache):
-    """Deprecated spelling of a federated stack (kept for one release).
-
-    ``RemoteCache(root, remote=url)`` is exactly
-    ``ArtifactCache(root, config=CacheConfig(remote=url))`` — the remote
-    transport is an ordinary :class:`RemoteTier` at the bottom of the
-    stack now, not a subclass override.  Prefer the config form.
-    """
-
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        *,
-        remote: str,
-        timeout_s: float = 10.0,
-    ) -> None:
-        super().__init__(root, config=CacheConfig(
-            remote=remote, remote_timeout_s=timeout_s,
-        ))
-        self.remote = self.config.remote.rstrip("/")
-        self.timeout_s = timeout_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RemoteCache {self.root} remote={self.remote}>"
 
 
 def resolve_cache(

@@ -30,7 +30,6 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.errors import BenchError, RequestError, SweepError
-from repro.cpu.engine import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.cpu.uarch import ALL_UARCHES
 from repro.obs.log import get_logger
 from repro.obs import (
@@ -135,16 +134,6 @@ def _add_cache_budget_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arg(
-    parser: argparse.ArgumentParser, default: str | None = DEFAULT_ENGINE
-) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=default,
-        help="execution back-end (default 'reference'; 'fast' produces "
-             "bit-identical results, much faster)",
-    )
-
-
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -235,15 +224,13 @@ def _cmd_workloads(args: argparse.Namespace, out: Emitter) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace, out: Emitter) -> int:
-    table = build_table1(_make_harness(args), jobs=args.jobs,
-                         engine=args.engine)
+    table = build_table1(_make_harness(args), jobs=args.jobs)
     out.result(table.to_markdown() if args.markdown else table.render())
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace, out: Emitter) -> int:
-    table = build_table2(_make_harness(args), jobs=args.jobs,
-                         engine=args.engine)
+    table = build_table2(_make_harness(args), jobs=args.jobs)
     out.result(table.to_markdown() if args.markdown else table.render())
     return 0
 
@@ -283,10 +270,6 @@ def _cmd_sweep_run(args: argparse.Namespace, out: Emitter) -> int:
     from repro.sweep import CampaignSpec, FleetConfig, run_campaign_dir
 
     spec = CampaignSpec.load(args.spec)
-    if args.engine is not None and args.engine != spec.engine:
-        # An engine override changes the campaign digest: resuming an
-        # existing journal with a different engine is (correctly) refused.
-        spec = spec.with_(engine=args.engine)
     progress = get_logger("progress")
     live = progress.isEnabledFor(logging.INFO)
 
@@ -435,7 +418,7 @@ def _cmd_run(args: argparse.Namespace, out: Emitter) -> int:
     request = EvaluateRequest(
         machine=args.machine, workload=args.workload, method=args.method,
         period=args.period, scale=args.scale, repeats=args.repeats,
-        seed_base=args.seed, engine=args.engine,
+        seed_base=args.seed,
     )
     result = evaluate_request(request, cache=_resolve_cache(args))
     if result.blank:
@@ -464,8 +447,7 @@ def _cmd_fidelity(args: argparse.Namespace, out: Emitter) -> int:
         request = EvaluateRequest(
             machine=args.machine, workload=args.workload, method=method,
             period=args.period, scale=args.scale, repeats=args.repeats,
-            seed_base=args.seed, engine=args.engine,
-            fidelity=True, fidelity_top_n=args.top_n,
+            seed_base=args.seed, fidelity=True, fidelity_top_n=args.top_n,
         )
         results.append(evaluate_request(request, harness=harness))
     if args.json:
@@ -580,7 +562,7 @@ def _config_summary(args: argparse.Namespace) -> dict[str, object]:
     """The experiment knobs of one invocation, for the manifest."""
     summary: dict[str, object] = {"command": args.command}
     for knob in ("scale", "repeats", "seed", "machine", "workload", "method",
-                 "period", "engine", "function", "no_lbr", "jobs",
+                 "period", "function", "no_lbr", "jobs",
                  "cache_dir", "remote_cache", "cache_max_bytes",
                  "cache_hot_entries", "spec", "out", "resume", "workers"):
         value = getattr(args, knob, None)
@@ -625,14 +607,12 @@ def main(argv: list[str] | None = None) -> int:
     p1 = sub.add_parser("table1", help="regenerate Table 1 (kernels)")
     _add_harness_args(p1)
     _add_jobs_arg(p1)
-    _add_engine_arg(p1)
     _add_obs_args(p1)
     p1.set_defaults(func=_cmd_table1)
 
     p2 = sub.add_parser("table2", help="regenerate Table 2 (applications)")
     _add_harness_args(p2)
     _add_jobs_arg(p2)
-    _add_engine_arg(p2)
     _add_obs_args(p2)
     p2.set_defaults(func=_cmd_table2)
 
@@ -668,7 +648,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="continue an interrupted campaign from its "
                            "journal; journaled cells are never re-evaluated")
     _add_jobs_arg(pswr)
-    _add_engine_arg(pswr, default=None)
     pswr.add_argument(
         "--cache", action="store_true",
         help="persist cell artifacts in the artifact cache "
@@ -734,7 +713,6 @@ def main(argv: list[str] | None = None) -> int:
 
     pr = sub.add_parser("run", help="score one machine/workload/method cell")
     _add_harness_args(pr)
-    _add_engine_arg(pr)
     _add_obs_args(pr)
     pr.add_argument("--machine", required=True)
     pr.add_argument("--workload", required=True)
@@ -752,7 +730,6 @@ def main(argv: list[str] | None = None) -> int:
              "(top-N ordering, inlining/layout decisions, convergence)",
     )
     _add_harness_args(pf)
-    _add_engine_arg(pf)
     _add_obs_args(pf)
     pf.add_argument("--machine", required=True)
     pf.add_argument("--workload", required=True)

@@ -225,7 +225,8 @@ def claim_fullcms_top10(harness: Harness) -> ClaimResult:
     for method in ("classic", "precise", "precise_prime_rand", "pdir_fix",
                    "lbr"):
         profile, _ = run_method(
-            execution, method, period, rng=harness.config.seed_base
+            execution, method, period, rng=harness.config.seed_base,
+            engine=harness.engine,
         )
         comparison = compare_top_functions(profile, reference, n=10)
         if comparison.exact_match:

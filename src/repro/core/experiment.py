@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.cpu.engine import DEFAULT_ENGINE, Engine, get_engine
+from repro.cpu.engine import Engine
 from repro.cpu.machine import Execution
 from repro.cpu.trace import Trace
 from repro.cpu.uarch import ALL_UARCHES, get_uarch
@@ -43,18 +43,12 @@ class CellSpec:
     is frozen and contains only strings/ints, so it hashes, pickles, and
     crosses process boundaries unchanged — it is the unit the parallel
     scheduler dispatches.
-
-    ``engine`` selects the execution back-end (:mod:`repro.cpu.engine`);
-    it addresses *how* the cell is computed, never *what* — both engines
-    produce bit-identical sample streams (enforced by the differential
-    suite), so persistent cache digests stay engine-free.
     """
 
     machine: str
     workload: str
     method: str
     period: int | None = None
-    engine: str = DEFAULT_ENGINE
 
     def resolved(self, period: int) -> "CellSpec":
         """This spec with a concrete period filled in."""
@@ -64,8 +58,7 @@ class CellSpec:
 
     def __str__(self) -> str:
         suffix = "" if self.period is None else f"@{self.period}"
-        tag = "" if self.engine == DEFAULT_ENGINE else f"+{self.engine}"
-        return f"{self.machine}/{self.workload}/{self.method}{suffix}{tag}"
+        return f"{self.machine}/{self.workload}/{self.method}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -86,10 +79,17 @@ class ExperimentConfig:
         return range(self.seed_base, self.seed_base + self.repeats)
 
 
+def _fast_engine() -> Engine:
+    # Imported on first use so that importing the public API stays cheap.
+    from repro.cpu.fastengine import FastEngine
+
+    return FastEngine()
+
+
 def build_trace(
     workload_name: str,
     scale: float = 1.0,
-    engine: str | Engine = DEFAULT_ENGINE,
+    engine: Engine | None = None,
     program=None,
 ) -> Trace:
     """Interpret one workload into its (microarchitecture-neutral) trace.
@@ -97,50 +97,49 @@ def build_trace(
     The dynamic block sequence depends only on the program, never on a
     machine (see DESIGN.md: all three machines differ only in timing and
     PMU features), so no uarch participates here.  This is the one
-    trace-building helper: :meth:`Harness.trace` routes through it too, so
-    every caller picks its back-end the same way.  ``engine`` is a registry
-    name or a live :class:`~repro.cpu.engine.Engine` instance; ``program``
-    short-circuits the workload build when the caller already holds one.
+    trace-building helper: :meth:`Harness.trace` routes through it too.
+    ``engine`` defaults to a fresh fast engine; ``program`` short-circuits
+    the workload build when the caller already holds one.
     """
-    resolved = get_engine(engine) if isinstance(engine, str) else engine
+    engine = engine or _fast_engine()
     if program is None:
-        program = resolved.program(workload_name, scale)
-    return resolved.trace(program)
+        program = engine.program(workload_name, scale)
+    return engine.trace(program)
 
 
 class Harness:
     """Caches executions and per-cell accuracy statistics.
 
     ``cache`` is an optional persistent :class:`ArtifactCache`; without it
-    the harness behaves exactly as before, caching in-process only.
+    the harness caches in-process only.  ``engine`` is the execution
+    back-end; by default the harness creates a
+    :class:`~repro.cpu.fastengine.FastEngine` on first use.  Engines share
+    executions across calls, so each harness holds its own instance and
+    that sharing never leaks across benchmark rounds.  Pass a
+    :class:`~repro.cpu.engine.ReferenceEngine` to check a result against
+    the oracle; both give bit-identical results.
     """
 
     def __init__(
         self,
         config: ExperimentConfig | None = None,
         cache: ArtifactCache | None = None,
+        engine: Engine | None = None,
     ) -> None:
         self.config = config or ExperimentConfig()
         self.cache = cache
+        self._engine = engine
         self._traces: dict[str, Trace] = {}
         self._references: dict[str, ReferenceCounts] = {}
         self._cells: dict[CellSpec, AccuracyStats] = {}
         self._fidelity: dict[tuple[CellSpec, int], object] = {}
-        self._engines: dict[str, Engine] = {}
 
-    # -- engines -----------------------------------------------------------
-
-    def engine(self, name: str = DEFAULT_ENGINE) -> Engine:
-        """The harness's shared engine instance for ``name``.
-
-        Engines may share executions across calls (the fast engine does),
-        so each harness holds one instance per name — sharing stays
-        harness-local and never leaks across benchmark rounds.
-        """
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = self._engines[name] = get_engine(name)
-        return engine
+    @property
+    def engine(self) -> Engine:
+        """The harness's engine instance (created on first use)."""
+        if self._engine is None:
+            self._engine = _fast_engine()
+        return self._engine
 
     # -- cache keys --------------------------------------------------------
 
@@ -191,20 +190,18 @@ class Harness:
         ):
             yield
 
-    def trace(
-        self, workload_name: str, engine: str = DEFAULT_ENGINE
-    ) -> Trace:
+    def trace(self, workload_name: str) -> Trace:
         """The (cached) dynamic trace of one workload at the config scale.
 
-        Both in-process and persistent trace caches are engine-agnostic:
-        engines are bit-identical by contract, so whichever one built the
-        sequence first serves every later request.
+        The persistent trace cache is engine-agnostic: engines are
+        bit-identical by contract, so whichever one built the sequence
+        first serves every later request.
         """
         if workload_name not in self._traces:
-            resolved = self.engine(engine)
+            engine = self.engine
             with span("workload", workload=workload_name,
                       scale=self.config.scale):
-                program = resolved.program(workload_name, self.config.scale)
+                program = engine.program(workload_name, self.config.scale)
                 block_seq = None
                 if self.cache is not None:
                     digest = self._trace_digest(workload_name)
@@ -221,7 +218,7 @@ class Harness:
                             block_seq = candidate.astype(np.int32)
                 if block_seq is None:
                     trace = build_trace(workload_name, self.config.scale,
-                                        engine=resolved, program=program)
+                                        engine=engine, program=program)
                     if self.cache is not None:
                         self.cache.put_arrays(
                             "trace", self._trace_digest(workload_name),
@@ -232,16 +229,10 @@ class Harness:
             self._traces[workload_name] = trace
         return self._traces[workload_name]
 
-    def execution(
-        self,
-        machine_name: str,
-        workload_name: str,
-        engine: str = DEFAULT_ENGINE,
-    ) -> Execution:
+    def execution(self, machine_name: str, workload_name: str) -> Execution:
         """The workload observed on one machine (trace shared)."""
-        return self.engine(engine).execution(
-            get_uarch(machine_name), self.trace(workload_name, engine=engine)
-        )
+        return self.engine.execution(get_uarch(machine_name),
+                                     self.trace(workload_name))
 
     def reference(self, workload_name: str) -> ReferenceCounts:
         """Exact instrumentation counts for one workload."""
@@ -309,17 +300,15 @@ class Harness:
                 return stats
         with self.pinned_workload(spec.workload), \
                 span("cell", machine=spec.machine, workload=spec.workload,
-                     method=spec.method, period=spec.period,
-                     engine=spec.engine):
+                     method=spec.method, period=spec.period):
             stats = evaluate_method(
-                self.execution(spec.machine, spec.workload,
-                               engine=spec.engine),
+                self.execution(spec.machine, spec.workload),
                 spec.method,
                 spec.period,
                 seeds=self.config.seeds,
                 reference=self.reference(spec.workload),
                 abort=abort,
-                engine=self.engine(spec.engine),
+                engine=self.engine,
             )
         count("harness.cells_evaluated")
         self._cells[spec] = stats
@@ -359,17 +348,16 @@ class Harness:
         with self.pinned_workload(spec.workload), \
                 span("fidelity_cell", machine=spec.machine,
                      workload=spec.workload, method=spec.method,
-                     period=spec.period, engine=spec.engine):
+                     period=spec.period):
             stats = evaluate_fidelity(
-                self.execution(spec.machine, spec.workload,
-                               engine=spec.engine),
+                self.execution(spec.machine, spec.workload),
                 spec.method,
                 spec.period,
                 seeds=self.config.seeds,
                 reference=self.reference(spec.workload),
                 top_n=top_n,
                 abort=abort,
-                engine=self.engine(spec.engine),
+                engine=self.engine,
             )
         count("harness.fidelity_evaluated")
         self._fidelity[key] = stats

@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import EvaluationAborted
-from repro.cpu.engine import DEFAULT_ENGINE
 from repro.obs import Collector, count, enabled, get_collector, install, span
 from repro.core.cache import ArtifactCache, CacheConfig, resolve_cache
 from repro.core.experiment import CellSpec, ExperimentConfig, Harness
@@ -48,20 +47,15 @@ def plan_cells(
     workloads: Sequence[str],
     methods: Sequence[str],
     harness: Harness | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> list[CellSpec]:
     """The deterministic cell list of one table build.
 
     Order matches the serial loop (workload → machine → method) and every
     spec carries its resolved period, so plans are stable cache keys.
-    ``engine`` stamps each spec with the execution back-end; it travels
-    inside the (picklable) spec, so workers honour it without extra
-    plumbing.
     """
     harness = harness or Harness(config)
     return [
-        CellSpec(machine, workload, method,
-                 harness.period_for(workload), engine)
+        CellSpec(machine, workload, method, harness.period_for(workload))
         for workload in workloads
         for machine in config.machines
         for method in methods

@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.cpu.engine import DEFAULT_ENGINE
 from repro.obs import span
 from repro.obs.log import get_logger
 from repro.core.experiment import CellSpec, Harness
@@ -52,7 +51,7 @@ class TableResult:
     def get(
         self, machine: str, workload: str, method: str
     ) -> AccuracyStats | None:
-        """Look a cell up ignoring the period (and engine).
+        """Look a cell up ignoring the period.
 
         Cells are keyed by :class:`CellSpec`; this scans for the first spec
         matching (machine, workload, method), which is unique in tables
@@ -130,7 +129,6 @@ def _build_table(
     methods: tuple[str, ...],
     jobs: int = 1,
     abort: Callable[[], bool] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> TableResult:
     machines = harness.config.machines
     result = TableResult(
@@ -140,8 +138,7 @@ def _build_table(
     )
     progress = get_logger("progress")
     live = progress.isEnabledFor(logging.INFO)
-    specs = plan_cells(harness.config, workloads, methods, harness=harness,
-                       engine=engine)
+    specs = plan_cells(harness.config, workloads, methods, harness=harness)
 
     def on_result(spec, stats, seconds, done, total):
         if live:
@@ -169,7 +166,6 @@ def build_table1(
     workloads: tuple[str, ...] = KERNEL_NAMES,
     jobs: int = 1,
     abort: Callable[[], bool] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> TableResult:
     """Table 1: sampling-method errors on the kernels (lower is better)."""
     return _build_table(
@@ -179,7 +175,6 @@ def build_table1(
         methods,
         jobs=jobs,
         abort=abort,
-        engine=engine,
     )
 
 
@@ -189,7 +184,6 @@ def build_table2(
     workloads: tuple[str, ...] = APP_NAMES,
     jobs: int = 1,
     abort: Callable[[], bool] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> TableResult:
     """Table 2: errors per machine/application (lower is better)."""
     return _build_table(
@@ -199,7 +193,6 @@ def build_table2(
         methods,
         jobs=jobs,
         abort=abort,
-        engine=engine,
     )
 
 

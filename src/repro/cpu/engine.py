@@ -1,31 +1,23 @@
-"""The ``Engine`` seam: pluggable execution/sampling back-ends.
+"""The ``Engine`` seam: the execution/sampling back-end behind a harness.
 
 An engine owns the three expensive stages of a cell evaluation — running a
 program to its dynamic block sequence, observing the trace on a machine, and
-collecting PMU samples — behind one small protocol, so the rest of the
-pipeline (harness, API, CLI, serve, sweep, bench) selects an implementation
-by name and never hard-codes a code path.
+collecting PMU samples — behind one small protocol.
 
-Two engines ship:
+One engine runs the product: :class:`repro.cpu.fastengine.FastEngine`
+(counted-loop lane vectorization for the interpreter, shared executions per
+(machine, trace), and O(samples) overflow delivery in
+:mod:`repro.pmu.fastpath`).  Every :class:`~repro.core.experiment.Harness`
+creates one on first use.
 
-``reference``
-    Today's code, untouched semantics: the per-block interpreter
-    (:func:`repro.cpu.interpreter.run_program`), a fresh
-    :class:`~repro.cpu.machine.Execution` per request, and the
-    per-instruction :class:`~repro.pmu.sampler.Sampler`.
-
-``fast``
-    The event-driven engine (:mod:`repro.cpu.fastengine`): counted-loop
-    lane vectorization for the interpreter, shared executions per
-    (machine, trace), and O(samples) overflow delivery
-    (:mod:`repro.pmu.fastpath`).  Its output is bit-identical to
-    ``reference`` — the differential suite in
-    ``tests/cpu/test_fastengine.py`` and the guard in
-    :func:`assert_engines_equivalent` enforce that.
-
-Engines are *stateful* (they may share executions across calls), so
-:func:`get_engine` returns a fresh instance per call; callers that want
-sharing (the harness) hold on to the instance.
+:class:`ReferenceEngine` is the oracle: the per-block interpreter
+(:func:`repro.cpu.interpreter.run_program`), a fresh
+:class:`~repro.cpu.machine.Execution` per request, and the per-instruction
+:class:`~repro.pmu.sampler.Sampler`.  It is the readable statement of the
+model; the differential suite in ``tests/cpu/test_fastengine.py`` holds
+the fast engine bit-identical to it at the interpreter, sampler, harness
+cell and fidelity levels.  Pass an instance to ``Harness(engine=...)`` to
+debug a result against it.
 """
 
 from __future__ import annotations
@@ -36,11 +28,6 @@ from repro.cpu.interpreter import DEFAULT_FUEL, InterpreterResult, run_program
 from repro.cpu.machine import Execution, Machine
 from repro.cpu.trace import Trace
 from repro.cpu.uarch import Microarchitecture
-from repro.errors import PMUConfigError
-
-#: Name every layer treats as the default; absent ``engine=`` fields resolve
-#: to this and leave behaviour (and cache digests) unchanged.
-DEFAULT_ENGINE = "reference"
 
 
 class Engine(Protocol):
@@ -65,7 +52,7 @@ class Engine(Protocol):
 
 
 class ReferenceEngine:
-    """The existing exact path, unchanged: one fresh Execution per call."""
+    """The exact oracle path: one fresh Execution per call."""
 
     name = "reference"
 
@@ -87,42 +74,3 @@ class ReferenceEngine:
         from repro.pmu.sampler import Sampler
 
         return Sampler(execution)
-
-
-def _make_fast():
-    from repro.cpu.fastengine import FastEngine
-
-    return FastEngine()
-
-
-_FACTORIES = {
-    "reference": ReferenceEngine,
-    "fast": _make_fast,
-}
-
-#: Engine names in registration order (stable for CLI help / validation).
-ENGINE_NAMES: tuple[str, ...] = tuple(_FACTORIES)
-
-
-def get_engine(name: str) -> Engine:
-    """A fresh engine instance by name; unknown names raise
-    :class:`~repro.errors.PMUConfigError` (the API layer maps that to a
-    request error / HTTP 400)."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
-        raise PMUConfigError(
-            f"unknown engine {name!r} (known engines: {known})"
-        ) from None
-    return factory()
-
-
-def validate_engine(name: str) -> str:
-    """Check ``name`` against the registry without instantiating."""
-    if name not in _FACTORIES:
-        known = ", ".join(sorted(_FACTORIES))
-        raise PMUConfigError(
-            f"unknown engine {name!r} (known engines: {known})"
-        )
-    return name

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.api import API_SCHEMA_VERSION, DEFAULT_ENGINE
-from repro.cpu.engine import validate_engine
+from repro.api import API_SCHEMA_VERSION
 from repro.errors import PMUConfigError, RequestError, WorkloadError
 from repro.core.experiment import ExperimentConfig
 from repro.core.methods import get_method
@@ -76,11 +75,10 @@ class TableRequest:
     seed_base: int = 100
     methods: tuple[str, ...] | None = None
     workloads: tuple[str, ...] | None = None
-    engine: str = DEFAULT_ENGINE
     schema_version: int = API_SCHEMA_VERSION
 
     FIELDS = ("table", "scale", "repeats", "seed_base", "methods",
-              "workloads", "engine", "schema_version")
+              "workloads", "schema_version")
 
     def validate(self) -> "TableRequest":
         if self.schema_version != API_SCHEMA_VERSION:
@@ -110,12 +108,6 @@ class TableRequest:
                 get_workload(workload)
         except WorkloadError as exc:
             raise RequestError(str(exc)) from None
-        if not isinstance(self.engine, str):
-            raise RequestError("engine must be a string")
-        try:
-            validate_engine(self.engine)
-        except PMUConfigError as exc:
-            raise RequestError(str(exc)) from None
         return self
 
     def config(self) -> ExperimentConfig:
@@ -123,7 +115,7 @@ class TableRequest:
                                 seed_base=self.seed_base)
 
     def to_dict(self) -> dict[str, object]:
-        document: dict[str, object] = {
+        return {
             "table": self.table,
             "scale": self.scale,
             "repeats": self.repeats,
@@ -133,10 +125,6 @@ class TableRequest:
                           else list(self.workloads)),
             "schema_version": self.schema_version,
         }
-        # Omitted at the default so pre-engine responses stay byte-identical.
-        if self.engine != DEFAULT_ENGINE:
-            document["engine"] = self.engine
-        return document
 
     @classmethod
     def from_dict(cls, data: object) -> "TableRequest":

@@ -77,6 +77,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-pmu/{__version__}"
+    # Buffer the response so headers and body leave in one send when
+    # handle_one_request flushes.  Two small sends on a kept-alive
+    # connection hold the body back behind Nagle's algorithm until the
+    # client's delayed ACK, tens of milliseconds per response.
+    wbufsize = -1
 
     @property
     def app(self) -> "ProfilingServer":

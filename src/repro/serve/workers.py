@@ -56,8 +56,7 @@ def run_table_request(
         kwargs["methods"] = request.methods
     if request.workloads is not None:
         kwargs["workloads"] = request.workloads
-    table = build(harness, jobs=jobs, abort=abort, engine=request.engine,
-                  **kwargs)
+    table = build(harness, jobs=jobs, abort=abort, **kwargs)
     return {
         "schema_version": api.API_SCHEMA_VERSION,
         "request": request.to_dict(),

@@ -28,7 +28,7 @@ so the *completion* order across the fleet never shows downstream.
 
 Artifact traffic rides the cache federation seam: workers run with a
 :class:`~repro.core.cache.RemoteTier` at the bottom of their cache stack
-(``--remote-cache``, previously spelled ``RemoteCache``), read-through
+(``--remote-cache``, ``CacheConfig(remote=...)``), read-through
 against a hub daemon's ``/v1/cache`` routes.  The hub absorbs the whole
 fleet's artifacts, so it is exactly the node that wants a bounded store:
 give it ``--cache-max-bytes`` (disk LRU budget) and
@@ -214,7 +214,6 @@ def request_for(spec: CampaignSpec, point: SweepPoint):
         scale=spec.scale,
         repeats=point.repeats,
         seed_base=spec.seed_base,
-        engine=spec.engine,
         fidelity=spec.fidelity,
         fidelity_top_n=spec.fidelity_top_n,
     )

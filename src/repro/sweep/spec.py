@@ -23,8 +23,7 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.errors import PMUConfigError, SweepError
-from repro.cpu.engine import DEFAULT_ENGINE, validate_engine
+from repro.errors import SweepError
 from repro.core.experiment import DEFAULT_MACHINES, CellSpec
 from repro.core.methods import METHOD_KEYS
 from repro.cpu.uarch import get_uarch
@@ -94,9 +93,6 @@ class CampaignSpec:
     seed_counts: tuple[int, ...] = (5,)
     seed_base: int = 100
     scale: float = 1.0
-    #: Execution back-end for every cell (results are engine-independent;
-    #: this only selects how fast they are computed).
-    engine: str = DEFAULT_ENGINE
     #: Score consumer-outcome fidelity (DESIGN.md §11) for every cell in
     #: addition to accuracy.  Off by default; enabling it changes the
     #: campaign digest (fidelity-bearing journals are a different campaign).
@@ -144,10 +140,6 @@ class CampaignSpec:
             raise SweepError(
                 f"campaign {self.name!r}: scale must be positive"
             )
-        try:
-            validate_engine(self.engine)
-        except PMUConfigError as exc:
-            raise SweepError(f"campaign {self.name!r}: {exc}") from None
         if not isinstance(self.fidelity, bool):
             raise SweepError(
                 f"campaign {self.name!r}: fidelity must be a boolean"
@@ -176,8 +168,7 @@ class CampaignSpec:
         order reports and journals are keyed to.
         """
         return [
-            SweepPoint(CellSpec(machine, workload, method, period,
-                                self.engine), repeats)
+            SweepPoint(CellSpec(machine, workload, method, period), repeats)
             for workload in self.workloads
             for period in self.periods_for(workload)
             for machine in self.machines
@@ -212,12 +203,8 @@ class CampaignSpec:
             "seed_base": self.seed_base,
             "scale": self.scale,
         }
-        # The default engine stays out of the document (and therefore the
-        # digest): existing campaign specs and journals keep their identity.
-        if self.engine != DEFAULT_ENGINE:
-            document["engine"] = self.engine
-        # Fidelity follows the same additive pattern: campaigns that never
-        # asked for it keep their documents and digests byte-identical.
+        # Fidelity is additive: campaigns that never asked for it keep
+        # their documents and digests byte-identical.
         if self.fidelity:
             document["fidelity"] = True
         if self.fidelity_top_n != 10:
@@ -250,7 +237,6 @@ class CampaignSpec:
                 seed_counts=tuple(document.get("seed_counts") or (5,)),
                 seed_base=int(document.get("seed_base", 100)),
                 scale=float(document.get("scale", 1.0)),
-                engine=str(document.get("engine", DEFAULT_ENGINE)),
                 fidelity=bool(document.get("fidelity", False)),
                 fidelity_top_n=int(document.get("fidelity_top_n", 10)),
             )

@@ -139,6 +139,7 @@ def test_evaluate_request_rejections():
         dict(good, repeats=True),                      # bool is not an int
         dict(good, scale=-1.0),                        # bad scale
         dict(good, period=0),                          # bad period
+        dict(good, engine="fast"),                     # no engine option
         dict(good, schema_version=api.API_SCHEMA_VERSION + 1),
     ]
     for document in cases:

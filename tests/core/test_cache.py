@@ -57,7 +57,8 @@ def test_corrupt_entries_load_as_misses(cache):
     stats = summarize_errors("classic", [0.5])
     digest = cache_digest(kind="stats", x=4)
     cache.put_stats(digest, stats)
-    path = cache._path("stats", digest, ".json")
+    disk = cache.tiers[-1]
+    path = disk.path("stats", digest)
     path.write_text("{ not json", encoding="utf-8")
     with collecting() as col:
         assert cache.get_stats(digest) is None
@@ -66,7 +67,7 @@ def test_corrupt_entries_load_as_misses(cache):
 
     adigest = cache_digest(kind="trace", x=5)
     cache.put_arrays("trace", adigest, block_seq=np.arange(4))
-    cache._path("trace", adigest, ".npz").write_bytes(b"garbage")
+    disk.path("trace", adigest).write_bytes(b"garbage")
     assert cache.get_arrays("trace", adigest, ("block_seq",)) is None
 
 

@@ -25,7 +25,6 @@ from repro.core.cache import (
     CacheConfig,
     DiskTier,
     MemoryTier,
-    RemoteCache,
     RemoteTier,
     cache_digest,
     resolve_cache,
@@ -48,6 +47,12 @@ def _fill(cache: ArtifactCache, n: int, size: int = 4096) -> list[str]:
     return digests
 
 
+def _disk_path(cache: ArtifactCache, kind: str, digest: str):
+    """Where the cache's disk tier keeps one entry."""
+    disk = next(t for t in cache.tiers if isinstance(t, DiskTier))
+    return disk.path(kind, digest)
+
+
 # -- CacheConfig -----------------------------------------------------------
 
 
@@ -68,10 +73,9 @@ def test_cache_config_rejects_unknown_fields_and_bad_values():
         CacheConfig(max_bytes=0)
     with pytest.raises(RequestError, match="hot_entries"):
         CacheConfig(hot_entries=-1)
-    with pytest.raises(RequestError, match="eviction policy"):
-        CacheConfig(policy="fifo")
-    with pytest.raises(RequestError, match="pinning"):
-        CacheConfig(pinning="maybe")
+    for dead_knob in ("policy", "pinning"):
+        with pytest.raises(RequestError, match="unknown cache config field"):
+            CacheConfig.from_dict({dead_knob: "lru"})
 
 
 def test_cache_config_is_picklable_and_buildable(tmp_path):
@@ -117,16 +121,13 @@ def test_default_stack_is_disk_only(tmp_path):
 
 
 def test_remote_config_appends_remote_tier(tmp_path):
-    cache = ArtifactCache(tmp_path, config=CacheConfig(remote="http://h:1"))
+    cache = ArtifactCache(tmp_path, config=CacheConfig(
+        remote="http://hub:1/", remote_timeout_s=0.5))
     assert [tier.name for tier in cache.tiers] == ["disk", "remote"]
-    assert isinstance(cache.tiers[-1], RemoteTier)
-
-
-def test_remote_cache_alias_builds_the_same_stack(tmp_path):
-    node = RemoteCache(tmp_path, remote="http://hub:1/", timeout_s=0.5)
-    assert node.remote == "http://hub:1"
-    assert [tier.name for tier in node.tiers] == ["disk", "remote"]
-    assert node.tiers[-1].timeout_s == 0.5
+    remote = cache.tiers[-1]
+    assert isinstance(remote, RemoteTier)
+    assert remote.remote_url == "http://hub:1"
+    assert remote.timeout_s == 0.5
 
 
 def test_memory_tier_serves_without_disk_reads(tmp_path):
@@ -134,7 +135,7 @@ def test_memory_tier_serves_without_disk_reads(tmp_path):
     digest = cache_digest(kind="stats", hot=1)
     cache.put_stats(digest, summarize_errors("classic", [0.25]))
     # Destroy the disk copy; the hot tier still answers.
-    cache._path("stats", digest, ".json").unlink()
+    _disk_path(cache, "stats", digest).unlink()
     loaded = cache.get_stats(digest)
     assert loaded is not None and loaded.errors == (0.25,)
     mem = cache.tiers[0].stats()
@@ -195,7 +196,7 @@ def test_partially_evicted_entry_loads_as_miss(tmp_path):
     is a miss and the accounting repairs itself."""
     cache = ArtifactCache(tmp_path, config=CacheConfig(max_bytes=1 << 20))
     digest = _fill(cache, 1)[0]
-    cache._path("trace", digest, ".npz").unlink()
+    _disk_path(cache, "trace", digest).unlink()
     with collecting() as col:
         assert cache.get_arrays("trace", digest, ("block_seq",)) is None
     assert col.metrics.counter("cache.misses") == 1
@@ -205,7 +206,7 @@ def test_partially_evicted_entry_loads_as_miss(tmp_path):
 def test_corrupt_entry_under_budget_still_counts_corrupt(tmp_path):
     cache = ArtifactCache(tmp_path, config=CacheConfig(max_bytes=1 << 20))
     digest = _fill(cache, 1)[0]
-    cache._path("trace", digest, ".npz").write_bytes(b"garbage")
+    _disk_path(cache, "trace", digest).write_bytes(b"garbage")
     with collecting() as col:
         assert cache.get_arrays("trace", digest, ("block_seq",)) is None
     assert col.metrics.counter("cache.corrupt") == 1

@@ -1,9 +1,9 @@
-"""Cache federation: RemoteCache against a live daemon's /v1/cache routes.
+"""Cache federation: a remote tier against a live daemon's /v1/cache routes.
 
-A "hub" daemon holds the shared store; RemoteCache nodes read through it
-and push writes back.  Corruption — in transit or at rest — must always
-degrade to a miss, and a warm federated node must answer evaluations with
-zero re-simulation.
+A "hub" daemon holds the shared store; nodes built from
+``CacheConfig(remote=...)`` read through it and push writes back.
+Corruption — in transit or at rest — must always degrade to a miss, and a
+warm federated node must answer evaluations with zero re-simulation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro import api
 from repro.core.cache import (
     CHECKSUM_HEADER,
     ArtifactCache,
-    RemoteCache,
+    CacheConfig,
     cache_digest,
 )
 from repro.core.stats import AccuracyStats
@@ -26,6 +26,12 @@ from repro.obs import collecting
 from repro.serve import ProfilingServer, ServerConfig
 
 STATS = AccuracyStats(method="classic", errors=(1.0, 2.0, 3.0))
+
+
+def _node(root, remote: str, timeout_s: float = 10.0) -> ArtifactCache:
+    """A local store at ``root`` federated with the daemon at ``remote``."""
+    return CacheConfig(root=str(root), remote=remote,
+                       remote_timeout_s=timeout_s).build()
 
 
 @pytest.fixture()
@@ -44,7 +50,7 @@ def test_remote_hit_is_written_through_locally(hub, tmp_path):
     digest = cache_digest(cell="remote-hit")
     hub.config.cache.put_stats(digest, STATS)
 
-    node = RemoteCache(tmp_path / "node", remote=hub.url)
+    node = _node(tmp_path / "node", hub.url)
     with collecting() as collector:
         assert node.get_stats(digest) == STATS
     counters = collector.metrics.counters()
@@ -60,7 +66,7 @@ def test_remote_hit_is_written_through_locally(hub, tmp_path):
 
 
 def test_remote_miss_is_a_plain_miss(hub, tmp_path):
-    node = RemoteCache(tmp_path / "node", remote=hub.url)
+    node = _node(tmp_path / "node", hub.url)
     with collecting() as collector:
         assert node.get_stats(cache_digest(cell="absent")) is None
     counters = collector.metrics.counters()
@@ -70,14 +76,14 @@ def test_remote_miss_is_a_plain_miss(hub, tmp_path):
 
 def test_local_write_is_pushed_to_the_hub(hub, tmp_path):
     digest = cache_digest(cell="write-through")
-    node_a = RemoteCache(tmp_path / "a", remote=hub.url)
+    node_a = _node(tmp_path / "a", hub.url)
     with collecting() as collector:
         node_a.put_stats(digest, STATS)
     assert collector.metrics.counters()["cache.remote_writes"] == 1
     assert hub.config.cache.get_stats(digest) == STATS
 
     # A second node now sees node A's work through the hub.
-    node_b = RemoteCache(tmp_path / "b", remote=hub.url)
+    node_b = _node(tmp_path / "b", hub.url)
     assert node_b.get_stats(digest) == STATS
 
 
@@ -86,7 +92,7 @@ def test_corrupt_stored_entry_is_a_miss(hub, tmp_path):
     # the stored bytes), so the *format* layer must reject it.
     digest = cache_digest(cell="rotten")
     assert hub.config.cache.write_entry("stats", digest, b"not json at all")
-    node = RemoteCache(tmp_path / "node", remote=hub.url)
+    node = _node(tmp_path / "node", hub.url)
     with collecting() as collector:
         assert node.get_stats(digest) is None
     counters = collector.metrics.counters()
@@ -116,8 +122,7 @@ def test_mismatched_transfer_checksum_is_a_miss(tmp_path):
     thread.start()
     try:
         host, port = liar.server_address[:2]
-        node = RemoteCache(tmp_path / "node",
-                           remote=f"http://{host}:{port}")
+        node = _node(tmp_path / "node", f"http://{host}:{port}")
         with collecting() as collector:
             assert node.get_stats(cache_digest(cell="lied-about")) is None
         counters = collector.metrics.counters()
@@ -129,8 +134,7 @@ def test_mismatched_transfer_checksum_is_a_miss(tmp_path):
 
 
 def test_dead_remote_degrades_to_a_local_cache(tmp_path):
-    node = RemoteCache(tmp_path / "node", remote="http://127.0.0.1:9",
-                       timeout_s=0.5)
+    node = _node(tmp_path / "node", "http://127.0.0.1:9", timeout_s=0.5)
     digest = cache_digest(cell="offline")
     with collecting() as collector:
         node.put_stats(digest, STATS)          # must not raise
@@ -140,8 +144,7 @@ def test_dead_remote_degrades_to_a_local_cache(tmp_path):
 
 def test_concurrent_puts_of_the_same_digest_are_safe(hub, tmp_path):
     digest = cache_digest(cell="stampede")
-    nodes = [RemoteCache(tmp_path / f"n{i}", remote=hub.url)
-             for i in range(6)]
+    nodes = [_node(tmp_path / f"n{i}", hub.url) for i in range(6)]
     threads = [threading.Thread(target=node.put_stats, args=(digest, STATS))
                for node in nodes]
     for thread in threads:
@@ -151,7 +154,7 @@ def test_concurrent_puts_of_the_same_digest_are_safe(hub, tmp_path):
     # Last-rename-wins with complete content: the entry is whole and valid
     # on the hub and through a fresh reader.
     assert hub.config.cache.get_stats(digest) == STATS
-    reader = RemoteCache(tmp_path / "reader", remote=hub.url)
+    reader = _node(tmp_path / "reader", hub.url)
     assert reader.get_stats(digest) == STATS
 
 
@@ -160,12 +163,12 @@ def test_warm_federated_run_evaluates_nothing(hub, tmp_path):
         machine="ivybridge", workload="latency_biased", method="precise",
         scale=0.01, repeats=1,
     )
-    node_a = RemoteCache(tmp_path / "a", remote=hub.url)
+    node_a = _node(tmp_path / "a", hub.url)
     warm = api.evaluate_request(request, cache=node_a)
 
     # A different node, cold local store: everything it needs must come
     # from the hub, with zero re-simulation.
-    node_b = RemoteCache(tmp_path / "b", remote=hub.url)
+    node_b = _node(tmp_path / "b", hub.url)
     with collecting() as collector:
         served = api.evaluate_request(request, cache=node_b)
     counters = collector.metrics.counters()

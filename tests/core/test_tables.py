@@ -65,21 +65,19 @@ def test_table2_uses_app_workloads(harness):
     assert table.get("ivybridge", "mcf", "classic") is not None
 
 
-def test_get_ignores_period_and_engine():
+def test_get_ignores_period():
     from repro.core.experiment import CellSpec
     from repro.core.stats import AccuracyStats
     from repro.core.tables import TableResult
 
     table = TableResult(title="clean", row_labels=[("ivybridge", "mcf")],
                         column_labels=["classic", "precise"])
-    by_ref = AccuracyStats(method="classic", errors=(0.3,))
-    by_fast = AccuracyStats(method="precise", errors=(0.4,))
-    table.cells[CellSpec("ivybridge", "mcf", "classic", 500)] = by_ref
-    table.cells[
-        CellSpec("ivybridge", "mcf", "precise", 500, engine="fast")
-    ] = by_fast
-    assert table.get("ivybridge", "mcf", "classic") is by_ref
-    assert table.get("ivybridge", "mcf", "precise") is by_fast
+    classic = AccuracyStats(method="classic", errors=(0.3,))
+    precise = AccuracyStats(method="precise", errors=(0.4,))
+    table.cells[CellSpec("ivybridge", "mcf", "classic", 500)] = classic
+    table.cells[CellSpec("ivybridge", "mcf", "precise", 2000)] = precise
+    assert table.get("ivybridge", "mcf", "classic") is classic
+    assert table.get("ivybridge", "mcf", "precise") is precise
     assert table.get("westmere", "mcf", "classic") is None
 
 

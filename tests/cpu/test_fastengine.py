@@ -9,22 +9,22 @@ and every field of every :class:`~repro.pmu.sampler.SampleBatch` must
 equal the reference engine's, including randomized periods, random phase,
 jittered skid, and LBR ranges (the RNG consumption order is part of the
 contract).  These tests enforce that over randomized programs and the
-paper's method ladder.
+paper's method ladder, at four levels: interpreter, sampler, harness cell
+and consumer fidelity.  The fast engine is the one every harness runs;
+the reference engine exists to be compared against here.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import IVY_BRIDGE, MAGNY_COURS, WESTMERE, Machine, ProgramBuilder
-from repro.cpu.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    ReferenceEngine,
-    get_engine,
-    validate_engine,
-)
+from repro.core.experiment import CellSpec, ExperimentConfig, Harness
+from repro.cpu.engine import ReferenceEngine
 from repro.cpu.fastengine import FastEngine, fast_run_program
 from repro.cpu.interpreter import run_program
 from repro.cpu.trace import Trace
@@ -129,25 +129,34 @@ def fuzz_programs():
     return {seed: build_random_program(seed) for seed in FUZZ_SEEDS}
 
 
-# -- engine registry -------------------------------------------------------
+# -- the harness's engine ---------------------------------------------------
+
+SMALL = ExperimentConfig(scale=0.02, repeats=2)
 
 
-def test_engine_registry_names():
-    assert set(ENGINE_NAMES) == {"reference", "fast"}
-    assert DEFAULT_ENGINE == "reference"
-    assert isinstance(get_engine("reference"), ReferenceEngine)
-    assert isinstance(get_engine("fast"), FastEngine)
+def test_harness_defaults_to_fast_engine():
+    harness = Harness(SMALL)
+    assert isinstance(harness.engine, FastEngine)
+    # The fast engine shares one Execution per (machine, trace).
+    assert harness.execution("ivybridge", "latency_biased") \
+        is harness.execution("ivybridge", "latency_biased")
 
 
-def test_engine_registry_rejects_unknown():
-    with pytest.raises(PMUConfigError, match="unknown engine"):
-        get_engine("warp")
-    with pytest.raises(PMUConfigError, match="unknown engine"):
-        validate_engine("warp")
+def test_harness_uses_the_engine_it_is_given():
+    oracle = ReferenceEngine()
+    harness = Harness(SMALL, engine=oracle)
+    assert harness.engine is oracle
+    # The reference engine observes the trace afresh on every call.
+    first = harness.execution("ivybridge", "latency_biased")
+    second = harness.execution("ivybridge", "latency_biased")
+    assert first is not second and first.trace is second.trace
 
 
 def test_engines_are_fresh_instances():
-    assert get_engine("fast") is not get_engine("fast")
+    """Executions shared inside an engine never leak across harnesses."""
+    harness = Harness(SMALL)
+    assert harness.engine is harness.engine
+    assert Harness(SMALL).engine is not harness.engine
 
 
 # -- interpreter equivalence ------------------------------------------------
@@ -331,17 +340,59 @@ def test_sampler_identical_at_min_period_boundary(fuzz_programs):
 def test_kernel_workload_cells_identical():
     """Full cell evaluations (trace -> sampling -> attribution -> scoring)
     agree between engines on a real kernel workload."""
-    from repro.core.experiment import CellSpec, ExperimentConfig, Harness
-
-    config = ExperimentConfig(scale=0.02, repeats=2)
+    oracle = Harness(SMALL, engine=ReferenceEngine())
+    default = Harness(SMALL)
+    assert isinstance(default.engine, FastEngine)
     for method in ("classic", "precise_prime_rand", "lbr"):
-        ref = Harness(config).evaluate_cell(
-            CellSpec("ivybridge", "latency_biased", method)
-        )
-        fast = Harness(config).evaluate_cell(
-            CellSpec("ivybridge", "latency_biased", method, engine="fast")
-        )
+        spec = CellSpec("ivybridge", "latency_biased", method)
+        ref = oracle.evaluate_cell(spec)
+        fast = default.evaluate_cell(spec)
         assert ref.errors == fast.errors, method
+
+
+def test_threads_sharing_fast_engine_caches_match_serial():
+    """Serve worker threads each build their own Harness, but all of them
+    share the fast engine's module-level program and loop-analysis caches.
+    Four threads evaluating one workload at once, from a cold start, must
+    each get exactly the oracle's serial answer."""
+    bases = (100, 211, 322, 433)
+    methods = ("classic", "precise_prime_rand", "lbr")
+
+    def config(seed_base: int) -> ExperimentConfig:
+        # A scale no other test uses, so the threads race to fill the caches.
+        return ExperimentConfig(scale=0.017, repeats=2, seed_base=seed_base)
+
+    def cells(harness: Harness) -> list:
+        return [harness.evaluate_cell(CellSpec("ivybridge", "memaccess", m))
+                for m in methods]
+
+    serial = {base: cells(Harness(config(base), engine=ReferenceEngine()))
+              for base in bases}
+    start = threading.Barrier(len(bases))
+    threaded: dict[int, list] = {}
+    failures: list[BaseException] = []
+
+    def worker(base: int) -> None:
+        try:
+            start.wait()
+            threaded[base] = cells(Harness(config(base)))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(base,))
+               for base in bases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # interleave the threads finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert threaded == serial
 
 
 # -- workload-family equivalence --------------------------------------------
@@ -391,7 +442,6 @@ def test_family_fidelity_identical_across_engines(family_traces):
     """Consumer fidelity (the new scoring path) is a pure function of the
     batches, so fast-engine stats must equal the reference's exactly."""
     from repro.fidelity import evaluate_fidelity
-    from repro.cpu.engine import get_engine
     from repro.instrumentation.reference import collect_reference
 
     for name, (_, trace) in family_traces.items():
@@ -399,8 +449,9 @@ def test_family_fidelity_identical_across_engines(family_traces):
         reference = collect_reference(trace)
         for method in ("classic", "lbr"):
             ref = evaluate_fidelity(execution, method, 1000,
-                                    seeds=range(2), reference=reference)
+                                    seeds=range(2), reference=reference,
+                                    engine=ReferenceEngine())
             fast = evaluate_fidelity(execution, method, 1000,
                                      seeds=range(2), reference=reference,
-                                     engine=get_engine("fast"))
+                                     engine=FastEngine())
             assert ref == fast, f"{name}/{method}"

@@ -64,6 +64,8 @@ def test_table_request_rejections():
         TableRequest.from_dict({})
     with pytest.raises(RequestError, match="unknown request field"):
         TableRequest.from_dict({"table": 1, "machine": "ivybridge"})
+    with pytest.raises(RequestError, match="unknown request field"):
+        TableRequest.from_dict({"table": 1, "engine": "fast"})
     with pytest.raises(RequestError, match="table must be 1 or 2"):
         TableRequest.from_dict({"table": 3})
     with pytest.raises(RequestError, match="scale"):

@@ -5,6 +5,7 @@ happy-path tests; backpressure and deadline tests build their own small
 servers with the worker pool disabled so queue states are deterministic.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -186,11 +187,16 @@ def test_invalid_requests_400(server):
         dict(FAST_CELL, machine="z80"),                        # unknown machine
         dict(FAST_CELL, repeats=0),                            # bad value
         dict(FAST_CELL, schema_version=api.API_SCHEMA_VERSION + 1),
+        dict(FAST_CELL, engine="fast"),                        # no such option
     ]
     for payload in cases:
         status, _, body = post(server.url + "/v1/evaluate", payload)
         assert status == 400, payload
         assert "error" in json.loads(body)
+    status, _, body = post(server.url + "/v1/table",
+                           {"table": 1, "engine": "reference"})
+    assert status == 400
+    assert "unknown request field" in json.loads(body)["error"]
     request = urllib.request.Request(
         server.url + "/v1/evaluate", data=b"{not json",
         headers={"Content-Type": "application/json"},
@@ -198,6 +204,25 @@ def test_invalid_requests_400(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request)
     assert excinfo.value.code == 400
+
+
+def test_keep_alive_responses_are_not_delayed(server):
+    """Each response leaves in one send: a header-then-body pair of small
+    writes on a kept-alive connection stalls the body behind Nagle's
+    algorithm until the client's delayed ACK (tens of ms per response)."""
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        started = time.perf_counter()
+        for _ in range(10):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.2, f"10 kept-alive requests took {elapsed:.3f}s"
 
 
 def test_full_queue_returns_429_with_retry_after(lame_server):
