@@ -918,9 +918,10 @@ class ArtifactCache:
     def pin_entry(self, kind: str, digest: str) -> Iterator[None]:
         """Pin one entry in every tier for the duration of the block.
 
-        Pinned entries survive budget eviction, so an in-flight reader — a cell mid-evaluation, a federation ``GET``
-        mid-stream — never has the ground pulled from under it.  Pinning
-        an absent entry is allowed (it protects the store that follows).
+        Pinned entries survive budget eviction, so an in-flight reader — a
+        cell mid-evaluation, a federation ``GET`` mid-stream — never has
+        the ground pulled from under it.  Pinning an absent entry is
+        allowed (it protects the store that follows).
         """
         for tier in self.tiers:
             tier.pin(kind, digest)

@@ -33,8 +33,6 @@ from repro.cpu.uarch import Microarchitecture
 class Engine(Protocol):
     """What the harness needs from an execution back-end."""
 
-    name: str
-
     def program(self, workload_name: str, scale: float = 1.0):
         """Build (or reuse) a workload's program at one scale."""
 
@@ -53,8 +51,6 @@ class Engine(Protocol):
 
 class ReferenceEngine:
     """The exact oracle path: one fresh Execution per call."""
-
-    name = "reference"
 
     def program(self, workload_name: str, scale: float = 1.0):
         from repro.workloads.registry import get_workload

@@ -334,8 +334,6 @@ def cached_program(workload_name: str, scale: float) -> Program:
 class FastEngine:
     """Engine implementation backed by the lane interpreter and fast PMU."""
 
-    name = "fast"
-
     def __init__(self) -> None:
         self._executions: dict[tuple, Execution] = {}
         self._retire_indexes: dict[tuple, object] = {}

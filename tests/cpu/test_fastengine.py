@@ -370,13 +370,13 @@ def test_threads_sharing_fast_engine_caches_match_serial():
               for base in bases}
     start = threading.Barrier(len(bases))
     threaded: dict[int, list] = {}
-    failures: list[BaseException] = []
+    failures: list[Exception] = []
 
     def worker(base: int) -> None:
         try:
             start.wait()
             threaded[base] = cells(Harness(config(base)))
-        except BaseException as exc:  # noqa: BLE001 - reported below
+        except Exception as exc:  # noqa: BLE001 - reported below
             failures.append(exc)
 
     threads = [threading.Thread(target=worker, args=(base,))
