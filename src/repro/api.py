@@ -363,12 +363,10 @@ def evaluate_request(
     request = request.validate().resolved()
     if harness is None:
         harness = _harness(request.config(), cache)
-    stats = harness.evaluate_cell(request.spec(), abort=abort)
-    fidelity = None
-    if request.fidelity and stats is not None:
-        fidelity = harness.evaluate_cell_fidelity(
-            request.spec(), top_n=request.fidelity_top_n, abort=abort,
-        )
+    stats, fidelity = harness.evaluate_cell(
+        request.spec(), abort=abort,
+        fidelity_top_n=request.fidelity_top_n if request.fidelity else None,
+    )
     return EvaluateResult(request=request, stats=stats, fidelity=fidelity)
 
 

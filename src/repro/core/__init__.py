@@ -37,6 +37,7 @@ from repro.core.cache import (
     resolve_cache,
 )
 from repro.core.experiment import (
+    CellScores,
     CellSpec,
     DEFAULT_MACHINES,
     ExperimentConfig,
@@ -103,6 +104,7 @@ __all__ = [
     "cache_digest",
     "default_cache_root",
     "resolve_cache",
+    "CellScores",
     "CellSpec",
     "ExperimentConfig",
     "Harness",

@@ -26,15 +26,28 @@ def block_of_samples(batch: SampleBatch) -> np.ndarray:
     return batch.execution.trace.blocks_at(batch.reported_idx).astype(np.int64)
 
 
+def credit_blocks(blocks: np.ndarray, num_blocks: int,
+                  period: float) -> np.ndarray:
+    """Per-block estimates crediting ``period`` to each sample's block.
+
+    ``blocks`` is a per-sample step (:func:`block_of_samples` or
+    :func:`~repro.core.ip_fix.corrected_blocks`).  Samples are credited
+    in order, so crediting the first ``m`` entries equals attributing the
+    batch's first ``m`` samples, bit for bit.
+    """
+    est = np.zeros(num_blocks, dtype=np.float64)
+    np.add.at(est, blocks, period)
+    return est
+
+
 def attribute_plain(batch: SampleBatch, method: str = "plain") -> Profile:
     """Build a profile by crediting each sample's nominal period to its
     block (tools attribute the period they programmed, not the randomized
     per-sample reload value)."""
     program = batch.execution.program
     with span("attribute", method=method, samples=batch.num_samples):
-        est = np.zeros(program.num_blocks, dtype=np.float64)
-        blocks = block_of_samples(batch)
-        np.add.at(est, blocks, float(batch.nominal_period))
+        est = credit_blocks(block_of_samples(batch), program.num_blocks,
+                            float(batch.nominal_period))
     count("attribution.samples", batch.num_samples)
     count("attribution.dropped_ips", batch.dropped)
     return Profile(

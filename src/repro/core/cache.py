@@ -528,7 +528,10 @@ class DiskTier(CacheTier):
     authoritative: an entry deleted behind the tier's back (another
     process's eviction, a manual ``rm``) simply loads as a miss and the
     books are repaired in place.  ``max_bytes=None`` disables eviction —
-    the unbounded pre-tier behavior.
+    the unbounded pre-tier behavior — and then nothing needs the books
+    until :meth:`stats`, :meth:`trim` or :meth:`evict` asks for them, so
+    entry traffic never walks the store; once seeded they are kept
+    current.
     """
 
     name = "disk"
@@ -561,9 +564,9 @@ class DiskTier(CacheTier):
                 self._record_miss()
             return None
         with self._lock:
-            self._ensure_scanned()
-            self._account(key, len(data))
-            self._lru.move_to_end(key)
+            if self._keeps_books():
+                self._account(key, len(data))
+                self._lru.move_to_end(key)
             self._record_hit()
         return data
 
@@ -571,11 +574,11 @@ class DiskTier(CacheTier):
         self._write_atomic(self.path(kind, digest), data)
         count("cache.writes")
         with self._lock:
-            self._ensure_scanned()
-            self._account(key := (kind, digest), len(data))
-            self._lru.move_to_end(key)
-            self._enforce()
-            self._publish_gauges()
+            if self._keeps_books():
+                self._account(key := (kind, digest), len(data))
+                self._lru.move_to_end(key)
+                self._enforce()
+                self._publish_gauges()
 
     def contains(self, kind: str, digest: str) -> bool:
         return self.path(kind, digest).is_file()
@@ -615,6 +618,14 @@ class DiskTier(CacheTier):
             return evicted
 
     # -- accounting --------------------------------------------------------
+
+    def _keeps_books(self) -> bool:
+        """Whether entry traffic must update the LRU books: always under
+        a budget (seeding them on first use), otherwise only once they
+        have been seeded."""
+        if self.max_bytes is not None:
+            self._ensure_scanned()
+        return self._scanned
 
     def _ensure_scanned(self) -> None:
         if self._scanned:

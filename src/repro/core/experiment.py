@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.core.methods import method_available
 from repro.core.runner import evaluate_method
 from repro.core.stats import AccuracyStats
 from repro.workloads.registry import get_workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fidelity.stats import FidelityStats
 
 #: Machine names in the order the paper's tables list them.
 DEFAULT_MACHINES: tuple[str, ...] = tuple(u.name for u in ALL_UARCHES)
@@ -59,6 +62,15 @@ class CellSpec:
     def __str__(self) -> str:
         suffix = "" if self.period is None else f"@{self.period}"
         return f"{self.machine}/{self.workload}/{self.method}{suffix}"
+
+
+class CellScores(NamedTuple):
+    """What :meth:`Harness.evaluate_cell` returns for one cell."""
+
+    #: Accuracy stats; ``None`` for a blank cell.
+    stats: AccuracyStats | None
+    #: Consumer fidelity; ``None`` unless requested (and for blank cells).
+    fidelity: FidelityStats | None
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,7 @@ class Harness:
         self._traces: dict[str, Trace] = {}
         self._references: dict[str, ReferenceCounts] = {}
         self._cells: dict[CellSpec, AccuracyStats] = {}
-        self._fidelity: dict[tuple[CellSpec, int], object] = {}
+        self._fidelity: dict[tuple[CellSpec, int], FidelityStats] = {}
 
     @property
     def engine(self) -> Engine:
@@ -276,94 +288,85 @@ class Harness:
         self,
         spec: CellSpec,
         abort: Callable[[], bool] | None = None,
-    ) -> AccuracyStats | None:
-        """Accuracy stats for one cell; ``None`` when the method is not
-        implementable on the machine (the paper's blank cells).
+        fidelity_top_n: int | None = None,
+    ) -> CellScores:
+        """Scores of one cell: accuracy stats and, when ``fidelity_top_n``
+        is given, consumer fidelity at that top-N.
 
-        Lookup order: in-process cell cache, persistent cache (if any),
-        then a full evaluation (counted as ``harness.cells_evaluated``).
-        ``abort`` (an optional zero-arg callable) is polled between seeded
-        repeats; see :func:`repro.core.runner.evaluate_method`.  An aborted
-        cell writes nothing to either cache.
+        A method that is not implementable on the machine (the paper's
+        blank cells) scores ``CellScores(None, None)``.  Each half is
+        looked up in the in-process memo, then the persistent cache (if
+        any).  What is missing is evaluated, counted as
+        ``harness.cells_evaluated`` / ``harness.fidelity_evaluated``, and
+        written; a half that was already cached is not written again.  A
+        cell that needs fidelity samples once per seed and scores both
+        halves from that pass
+        (:func:`~repro.fidelity.evaluate.evaluate_fidelity`).  ``abort``
+        (an optional zero-arg callable) is polled between seeded repeats;
+        an aborted cell writes nothing to either cache.
         """
         spec = spec.resolved(spec.period or self.period_for(spec.workload))
-        if spec in self._cells:
+        want_fidelity = fidelity_top_n is not None
+        fidelity_key = (spec, fidelity_top_n)
+        stats = self._cells.get(spec)
+        if stats is not None:
             count("harness.cell_cache_hits")
-            return self._cells[spec]
-        uarch = get_uarch(spec.machine)
-        if not method_available(spec.method, uarch):
-            return None
+        fidelity = self._fidelity.get(fidelity_key)
+        if fidelity is not None:
+            count("harness.fidelity_cache_hits")
+        if stats is not None and (fidelity is not None or not want_fidelity):
+            return CellScores(stats, fidelity)
+        if not method_available(spec.method, get_uarch(spec.machine)):
+            return CellScores(None, None)
         if self.cache is not None:
-            stats = self.cache.get_stats(self._cell_digest(spec))
-            if stats is not None:
-                self._cells[spec] = stats
-                return stats
+            if stats is None:
+                stats = self.cache.get_stats(self._cell_digest(spec))
+                if stats is not None:
+                    self._cells[spec] = stats
+            if want_fidelity and fidelity is None:
+                fidelity = self.cache.get_fidelity(
+                    self._fidelity_digest(spec, fidelity_top_n))
+                if fidelity is not None:
+                    self._fidelity[fidelity_key] = fidelity
+        fresh_stats = stats is None
+        fresh_fidelity = want_fidelity and fidelity is None
+        if not (fresh_stats or fresh_fidelity):
+            return CellScores(stats, fidelity)
+
         with self.pinned_workload(spec.workload), \
                 span("cell", machine=spec.machine, workload=spec.workload,
                      method=spec.method, period=spec.period):
-            stats = evaluate_method(
-                self.execution(spec.machine, spec.workload),
-                spec.method,
-                spec.period,
-                seeds=self.config.seeds,
-                reference=self.reference(spec.workload),
-                abort=abort,
-                engine=self.engine,
-            )
-        count("harness.cells_evaluated")
-        self._cells[spec] = stats
-        if self.cache is not None:
-            self.cache.put_stats(self._cell_digest(spec), stats)
-        return stats
+            execution = self.execution(spec.machine, spec.workload)
+            reference = self.reference(spec.workload)
+            if want_fidelity:
+                # Imported on use: repro.fidelity itself imports repro.core.
+                from repro.fidelity.evaluate import evaluate_fidelity
 
-    def evaluate_cell_fidelity(
-        self,
-        spec: CellSpec,
-        top_n: int = 10,
-        abort: Callable[[], bool] | None = None,
-    ):
-        """Consumer-outcome :class:`~repro.fidelity.stats.FidelityStats`
-        for one cell; ``None`` for the paper's blank cells.
-
-        Same lookup order and abort semantics as :meth:`evaluate_cell`;
-        the persistent entry lives under its own ``fidelity`` cache kind
-        (digest additionally keyed by ``top_n``), so enabling fidelity
-        never perturbs existing ``stats`` digests.
-        """
-        from repro.fidelity.evaluate import evaluate_fidelity
-
-        spec = spec.resolved(spec.period or self.period_for(spec.workload))
-        key = (spec, top_n)
-        if key in self._fidelity:
-            count("harness.fidelity_cache_hits")
-            return self._fidelity[key]
-        uarch = get_uarch(spec.machine)
-        if not method_available(spec.method, uarch):
-            return None
-        if self.cache is not None:
-            stats = self.cache.get_fidelity(self._fidelity_digest(spec, top_n))
-            if stats is not None:
-                self._fidelity[key] = stats
-                return stats
-        with self.pinned_workload(spec.workload), \
-                span("fidelity_cell", machine=spec.machine,
-                     workload=spec.workload, method=spec.method,
-                     period=spec.period):
-            stats = evaluate_fidelity(
-                self.execution(spec.machine, spec.workload),
-                spec.method,
-                spec.period,
-                seeds=self.config.seeds,
-                reference=self.reference(spec.workload),
-                top_n=top_n,
-                abort=abort,
-                engine=self.engine,
-            )
-        count("harness.fidelity_evaluated")
-        self._fidelity[key] = stats
-        if self.cache is not None:
-            self.cache.put_fidelity(self._fidelity_digest(spec, top_n), stats)
-        return stats
+                new_stats, new_fidelity = evaluate_fidelity(
+                    execution, spec.method, spec.period,
+                    seeds=self.config.seeds, reference=reference,
+                    top_n=fidelity_top_n, abort=abort, engine=self.engine,
+                )
+            else:
+                new_stats, new_fidelity = evaluate_method(
+                    execution, spec.method, spec.period,
+                    seeds=self.config.seeds, reference=reference,
+                    abort=abort, engine=self.engine,
+                ), None
+        if fresh_stats:
+            stats = new_stats
+            count("harness.cells_evaluated")
+            self._cells[spec] = stats
+            if self.cache is not None:
+                self.cache.put_stats(self._cell_digest(spec), stats)
+        if fresh_fidelity:
+            fidelity = new_fidelity
+            count("harness.fidelity_evaluated")
+            self._fidelity[fidelity_key] = fidelity
+            if self.cache is not None:
+                self.cache.put_fidelity(
+                    self._fidelity_digest(spec, fidelity_top_n), fidelity)
+        return CellScores(stats, fidelity)
 
     def cell(
         self,
@@ -372,7 +375,8 @@ class Harness:
         method_key: str,
         base_period: int | None = None,
     ) -> AccuracyStats | None:
-        """Positional-argument convenience over :meth:`evaluate_cell`."""
+        """Accuracy stats of one cell (``None`` when blank): a
+        positional-argument convenience over :meth:`evaluate_cell`."""
         return self.evaluate_cell(
             CellSpec(machine_name, workload_name, method_key, base_period)
-        )
+        ).stats

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.obs import count, span
 from repro.pmu.sampler import SampleBatch
+from repro.core.attribution import credit_blocks
 from repro.core.profile import Profile
 
 
@@ -68,9 +69,8 @@ def attribute_with_ip_fix(batch: SampleBatch, method: str = "ip_fix") -> Profile
     """Build a profile using the corrected (walked-back) block per sample."""
     program = batch.execution.program
     with span("attribute", method=method, samples=batch.num_samples):
-        est = np.zeros(program.num_blocks, dtype=np.float64)
-        blocks = corrected_blocks(batch)
-        np.add.at(est, blocks, float(batch.nominal_period))
+        est = credit_blocks(corrected_blocks(batch), program.num_blocks,
+                            float(batch.nominal_period))
     count("attribution.samples", batch.num_samples)
     count("attribution.dropped_ips", batch.dropped)
     return Profile(

@@ -15,6 +15,8 @@ whole accounting O(samples * depth + blocks).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import AnalysisError
@@ -23,20 +25,58 @@ from repro.pmu.sampler import SampleBatch
 from repro.core.profile import Profile
 
 
-def lbr_block_exec_counts(batch: SampleBatch) -> np.ndarray:
-    """Estimated per-block execution counts from a batch's LBR stacks."""
+@dataclass(frozen=True)
+class LbrSegments:
+    """The per-sample step of LBR accounting: every sample's segments,
+    flattened in sample order.
+
+    Segment ``j`` covers blocks ``first_block[j]`` through
+    ``last_block[j]`` and stands for ``weights[j]`` executions of each;
+    the first ``s`` samples own the first ``ends[s - 1]`` segments.
+    """
+
+    first_block: np.ndarray     # int64 per segment
+    last_block: np.ndarray      # int64 per segment
+    weights: np.ndarray         # float64 per segment
+    ends: np.ndarray            # int64 per sample: cumulative segment count
+    num_blocks: int
+
+    def exec_counts(self, samples: int | None = None) -> np.ndarray:
+        """Estimated per-block execution counts from the segments of the
+        first ``samples`` samples (all by default).
+
+        Equals accounting that prefix of the batch on its own, bit for
+        bit: each sample's segments and weights do not depend on the
+        samples after it.
+        """
+        k = self.first_block.size
+        if samples is not None and samples < self.ends.size:
+            k = int(self.ends[samples - 1]) if samples > 0 else 0
+        if k == 0:
+            return np.zeros(self.num_blocks, dtype=np.float64)
+        weights = self.weights[:k]
+        delta = np.zeros(self.num_blocks + 1, dtype=np.float64)
+        np.add.at(delta, self.first_block[:k], weights)
+        np.add.at(delta, self.last_block[:k] + 1, -weights)
+        counts = np.cumsum(delta[:-1])
+        # The prefix sum cancels each +w with a later -w; rounding can leave
+        # residues around zero, so clamp them out.
+        np.maximum(counts, 0.0, out=counts)
+        return counts
+
+
+def lbr_segments(batch: SampleBatch) -> LbrSegments:
+    """The ⟨T_i, S_{i+1}⟩ segments of a batch's LBR stacks."""
     if batch.lbr_ranges is None:
         raise AnalysisError("LBR accounting requires a batch collected with LBRs")
     trace = batch.execution.trace
     program = batch.execution.program
-    nblocks = program.num_blocks
 
     start, end = batch.lbr_ranges
     seg_counts = np.maximum(end - start - 1, 0)
-    total_segments = int(seg_counts.sum())
+    ends = np.cumsum(seg_counts)
+    total_segments = int(ends[-1]) if ends.size else 0
     count("attribution.lbr_segments", total_segments)
-    if total_segments == 0:
-        return np.zeros(nblocks, dtype=np.float64)
 
     # Flatten all ⟨T_i, S_{i+1}⟩ segments across samples. Segment j of
     # sample s pairs entry (start+j) target with entry (start+j+1) source.
@@ -44,7 +84,7 @@ def lbr_block_exec_counts(batch: SampleBatch) -> np.ndarray:
         np.arange(start.size, dtype=np.int64), seg_counts
     )
     seg_pos = np.arange(total_segments, dtype=np.int64)
-    seg_pos -= np.repeat(np.cumsum(seg_counts) - seg_counts, seg_counts)
+    seg_pos -= np.repeat(ends - seg_counts, seg_counts)
     first_entry = start[sample_of_seg] + seg_pos
 
     seg_targets = trace.taken_targets_at(first_entry)
@@ -64,15 +104,14 @@ def lbr_block_exec_counts(batch: SampleBatch) -> np.ndarray:
         float(batch.nominal_period)
         / seg_counts[sample_of_seg].astype(np.float64)
     )
+    return LbrSegments(first_block=first_block, last_block=last_block,
+                       weights=weights, ends=ends,
+                       num_blocks=program.num_blocks)
 
-    delta = np.zeros(nblocks + 1, dtype=np.float64)
-    np.add.at(delta, first_block, weights)
-    np.add.at(delta, last_block + 1, -weights)
-    counts = np.cumsum(delta[:-1])
-    # The prefix sum cancels each +w with a later -w; rounding can leave
-    # residues around zero, so clamp them out.
-    np.maximum(counts, 0.0, out=counts)
-    return counts
+
+def lbr_block_exec_counts(batch: SampleBatch) -> np.ndarray:
+    """Estimated per-block execution counts from a batch's LBR stacks."""
+    return lbr_segments(batch).exec_counts()
 
 
 def attribute_lbr(batch: SampleBatch, method: str = "lbr") -> Profile:

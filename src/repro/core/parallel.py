@@ -32,14 +32,18 @@ from typing import Callable, Iterable, Sequence
 from repro.errors import EvaluationAborted
 from repro.obs import Collector, count, enabled, get_collector, install, span
 from repro.core.cache import ArtifactCache, CacheConfig, resolve_cache
-from repro.core.experiment import CellSpec, ExperimentConfig, Harness
-from repro.core.stats import AccuracyStats
+from repro.core.experiment import (
+    CellScores,
+    CellSpec,
+    ExperimentConfig,
+    Harness,
+)
 
-#: One cell's outcome plus the worker-side wall seconds it took.
-CellResult = tuple[CellSpec, "AccuracyStats | None", float]
+#: One cell's scores plus the worker-side wall seconds it took.
+CellResult = tuple[CellSpec, CellScores, float]
 
-#: Progress callback: (spec, stats, seconds, done, total).
-ProgressFn = Callable[[CellSpec, "AccuracyStats | None", float, int, int], None]
+#: Progress callback: (spec, scores, seconds, done, total).
+ProgressFn = Callable[[CellSpec, CellScores, float, int, int], None]
 
 
 def plan_cells(
@@ -77,8 +81,7 @@ def _evaluate_group(
     cache_config: "CacheConfig | str | None",
     specs: tuple[CellSpec, ...],
     observed: bool,
-    fidelity: bool = False,
-    fidelity_top_n: int = 10,
+    fidelity_top_n: int | None = None,
 ) -> tuple[list[CellResult], dict[str, float], list]:
     """Worker entry point: evaluate one workload's cells.
 
@@ -94,10 +97,6 @@ def _evaluate_group(
     worker counters never race the parent's) and returns its counter
     snapshot and span records for merging; otherwise collection stays
     disabled in the worker too.
-
-    With ``fidelity`` the value slot of each result is the
-    ``(AccuracyStats | None, FidelityStats | None)`` pair described by
-    :func:`evaluate_cells`.
     """
     collector = Collector() if observed else None
     previous = install(collector) if observed else None
@@ -110,15 +109,9 @@ def _evaluate_group(
                 else contextlib.nullcontext()):
             for spec in specs:
                 started = time.perf_counter()
-                value = harness.evaluate_cell(spec)
-                if fidelity:
-                    fid = None
-                    if value is not None:
-                        fid = harness.evaluate_cell_fidelity(
-                            spec, top_n=fidelity_top_n
-                        )
-                    value = (value, fid)
-                results.append((spec, value, time.perf_counter() - started))
+                scores = harness.evaluate_cell(
+                    spec, fidelity_top_n=fidelity_top_n)
+                results.append((spec, scores, time.perf_counter() - started))
         if collector is None:
             return results, {}, []
         return results, collector.metrics.counters(), collector.spans
@@ -135,9 +128,8 @@ def evaluate_cells(
     harness: Harness | None = None,
     on_result: ProgressFn | None = None,
     abort: Callable[[], bool] | None = None,
-    fidelity: bool = False,
-    fidelity_top_n: int = 10,
-) -> dict[CellSpec, AccuracyStats | None]:
+    fidelity_top_n: int | None = None,
+) -> dict[CellSpec, CellScores]:
     """Evaluate many cells, serially or across ``jobs`` worker processes.
 
     ``jobs <= 1`` runs in-process on ``harness`` (creating one if needed),
@@ -146,35 +138,30 @@ def evaluate_cells(
     counts the dispatched cells, and each worker's counters are merged back
     into the installed collector.
 
-    ``abort`` is polled between cells (serial) or between repeats inside a
-    cell and between group completions (parallel); a truthy return raises
-    :class:`EvaluationAborted` after cancelling any not-yet-started groups.
+    ``abort`` is polled between seeded repeats inside each cell on the
+    serial path, and between group completions on the parallel path (a
+    group already running finishes); a truthy return raises
+    :class:`EvaluationAborted`, after cancelling any not-yet-started
+    groups.
 
-    ``fidelity`` additionally scores each non-blank cell's consumer
-    fidelity (DESIGN.md §11); the value seen by ``results`` and
-    ``on_result`` then becomes an ``(AccuracyStats | None,
-    FidelityStats | None)`` pair instead of bare stats.
+    Each cell maps to its :class:`~repro.core.experiment.CellScores`;
+    ``fidelity_top_n`` additionally scores consumer fidelity at that
+    top-N (DESIGN.md §11) from the same sampling pass.
     """
     total = len(specs)
-    results: dict[CellSpec, AccuracyStats | None] = {}
+    results: dict[CellSpec, CellScores] = {}
     done = 0
 
     if jobs <= 1:
         harness = harness or Harness(config, cache=cache)
         for spec in specs:
             started = time.perf_counter()
-            value = harness.evaluate_cell(spec, abort=abort)
-            if fidelity:
-                fid = None
-                if value is not None:
-                    fid = harness.evaluate_cell_fidelity(
-                        spec, top_n=fidelity_top_n, abort=abort
-                    )
-                value = (value, fid)
-            results[spec] = value
+            scores = harness.evaluate_cell(spec, abort=abort,
+                                           fidelity_top_n=fidelity_top_n)
+            results[spec] = scores
             done += 1
             if on_result is not None:
-                on_result(spec, value, time.perf_counter() - started,
+                on_result(spec, scores, time.perf_counter() - started,
                           done, total)
         return results
 
@@ -187,7 +174,7 @@ def evaluate_cells(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_evaluate_group, config, cache_config, group,
-                            observed, fidelity, fidelity_top_n)
+                            observed, fidelity_top_n)
                 for _, group in groups
             ]
             for future in as_completed(futures):
@@ -204,9 +191,9 @@ def evaluate_cells(
                 collector = get_collector()
                 if collector is not None:
                     collector.merge_spans(spans)
-                for spec, stats, seconds in cell_results:
-                    results[spec] = stats
+                for spec, scores, seconds in cell_results:
+                    results[spec] = scores
                     done += 1
                     if on_result is not None:
-                        on_result(spec, stats, seconds, done, total)
+                        on_result(spec, scores, seconds, done, total)
     return results

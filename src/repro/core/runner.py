@@ -91,12 +91,22 @@ def run_method(
                      else engine.sampler(execution))
         batch = collector.collect(resolved.config, rng)
         profile = _ATTRIBUTORS[resolved.attribution](batch, method=method_key)
-        # A run too short to deliver any sample yields an honest all-zero
-        # profile (its error against the reference is 1.0) — there is nothing
-        # to normalize.
-        if normalize and profile.total_estimate > 0:
-            profile = profile.normalized_to(execution.trace.num_instructions)
+        if normalize:
+            profile = normalized(profile, execution)
     return profile, batch
+
+
+def normalized(profile: Profile, execution: Execution) -> Profile:
+    """``profile`` rescaled to the execution's retired-instruction total
+    (profilers get it from counting mode).
+
+    A run too short to deliver any sample yields an honest all-zero
+    profile (its error against the reference is 1.0): there is nothing to
+    normalize, so it comes back unchanged.
+    """
+    if profile.total_estimate > 0:
+        return profile.normalized_to(execution.trace.num_instructions)
+    return profile
 
 
 def evaluate_method(

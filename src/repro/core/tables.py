@@ -140,12 +140,12 @@ def _build_table(
     live = progress.isEnabledFor(logging.INFO)
     specs = plan_cells(harness.config, workloads, methods, harness=harness)
 
-    def on_result(spec, stats, seconds, done, total):
+    def on_result(spec, scores, seconds, done, total):
         if live:
             progress.info(
                 "[%3d/%d] %s/%s/%s  %s  (%.2fs)",
                 done, total, spec.machine, spec.workload, spec.method,
-                "--" if stats is None else stats, seconds,
+                "--" if scores.stats is None else scores.stats, seconds,
             )
 
     with span("table", title=title, cells=len(specs), jobs=jobs):
@@ -156,7 +156,7 @@ def _build_table(
     # Fill in plan order so serial and parallel builds are bit-identical,
     # whatever order workers completed in.
     for spec in specs:
-        result.cells[spec] = evaluated[spec]
+        result.cells[spec] = evaluated[spec].stats
     return result
 
 

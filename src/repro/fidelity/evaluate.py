@@ -1,17 +1,21 @@
-"""Evaluate consumer-outcome fidelity of one method over one execution.
+"""Evaluate one method's accuracy and consumer fidelity over one execution.
 
-Mirrors :func:`repro.core.runner.evaluate_method` — same seeds, same
-per-seed generators, the method resolved once — but scores each repeat by
-what a profile *consumer* would do with it (see :mod:`repro.fidelity`).
+One sampling pass per seeded repeat feeds both scorers: the paper's
+``err(x)`` is scored on the normalized copy of the profile, exactly as
+:func:`repro.core.runner.evaluate_method` scores it, and the consumer
+metrics (see :mod:`repro.fidelity`) on the raw profile and its batch.
 
 Sample-efficiency is measured by replaying each repeat's sample batch in
-prefixes: the batch is cut at a geometric ladder of sample counts, each
-prefix re-attributed exactly as the full batch was, and the inlining
-decision recomputed. The convergence point is the smallest ladder count
-from which the decision matches the reference decision at every larger
-ladder count — i.e. the decision has not just matched once but *stayed*
-matched. Everything is a pure function of the batch, so results are
-bit-identical across engines, ``--jobs``, and local vs distributed runs.
+prefixes: the batch is cut at a geometric ladder of sample counts and the
+inlining decision recomputed for each prefix. The prefix profiles are cut
+from one per-sample attribution of the batch (the block of each sample,
+or for LBR its segments), which equals re-attributing each prefix on its
+own because samples are credited in order. The convergence point is the
+smallest ladder count from which the decision matches the reference
+decision at every larger ladder count — i.e. the decision has not just
+matched once but *stayed* matched. Everything is a pure function of the
+batch, so results are bit-identical across engines, ``--jobs``, and local
+vs distributed runs.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from repro.cpu.machine import Execution
 from repro.instrumentation.reference import ReferenceCounts, collect_reference
 from repro.obs import count, span
 from repro.pmu.sampler import SampleBatch
-from repro.core.methods import ResolvedMethod, resolve_method
-from repro.core.runner import _ATTRIBUTORS, run_method
+from repro.core import runner
+from repro.core.attribution import block_of_samples, credit_blocks
+from repro.core.ip_fix import corrected_blocks
+from repro.core.lbr_counts import lbr_segments
+from repro.core.methods import Attribution, resolve_method
+from repro.core.stats import AccuracyStats, summarize_errors
 from repro.fidelity.decisions import (
     inline_candidates,
     layout_agreement,
@@ -52,34 +60,44 @@ def convergence_ladder(num_samples: int) -> list[int]:
     return ladder
 
 
-def _prefix_batch(batch: SampleBatch, m: int) -> SampleBatch:
-    """The batch a profiler would hold after its first ``m`` samples."""
-    lbr = batch.lbr_ranges
-    return SampleBatch(
-        execution=batch.execution,
-        config=batch.config,
-        trigger_idx=batch.trigger_idx[:m],
-        reported_idx=batch.reported_idx[:m],
-        period_weights=batch.period_weights[:m],
-        lbr_ranges=None if lbr is None else (lbr[0][:m], lbr[1][:m]),
-        dropped=0,
-    )
+def _prefix_estimates(
+    batch: SampleBatch, attribution: Attribution
+) -> Callable[[int], np.ndarray]:
+    """``estimates(m)``: the block estimates of the batch's first ``m``
+    samples, cut from one per-sample attribution of the whole batch."""
+    program = batch.execution.program
+    if attribution is Attribution.LBR_COUNTS:
+        segments = lbr_segments(batch)
+        sizes = program.tables.block_sizes
+        return lambda m: segments.exec_counts(m) * sizes
+    blocks = (corrected_blocks(batch) if attribution is Attribution.IP_FIX
+              else block_of_samples(batch))
+    period = float(batch.nominal_period)
+    return lambda m: credit_blocks(blocks[:m], program.num_blocks, period)
 
 
 def _convergence_samples(
     batch: SampleBatch,
-    resolved: ResolvedMethod,
-    method_key: str,
+    attribution: Attribution,
     ref_inline: frozenset[int],
+    full_inline: frozenset[int],
 ) -> int | None:
-    """Samples needed for the inlining decision to converge, else None."""
-    attribute = _ATTRIBUTORS[resolved.attribution]
+    """Samples needed for the inlining decision to converge, else None.
+
+    ``full_inline`` is the whole batch's decision, the ladder's last rung.
+    """
     ladder = convergence_ladder(batch.num_samples)
+    if not ladder:
+        return None
+    estimates = _prefix_estimates(batch, attribution)
+    block_func = batch.execution.program.tables.block_func
+    num_functions = len(batch.execution.program.functions)
     matches: list[bool] = []
-    for m in ladder:
-        profile = attribute(_prefix_batch(batch, m), method=method_key)
-        decision = inline_candidates(profile.function_instr_estimates())
-        matches.append(decision == ref_inline)
+    for m in ladder[:-1]:
+        functions = np.bincount(block_func, weights=estimates(m),
+                                minlength=num_functions)
+        matches.append(inline_candidates(functions) == ref_inline)
+    matches.append(full_inline == ref_inline)
     # Smallest ladder point from which every later decision also matches.
     converged_from: int | None = None
     for m, ok in zip(reversed(ladder), reversed(matches)):
@@ -98,14 +116,16 @@ def evaluate_fidelity(
     top_n: int = TOP_N_DEFAULT,
     abort: Callable[[], bool] | None = None,
     engine=None,
-) -> FidelityStats:
-    """Score one method's consumer fidelity over seeded repeats.
+) -> tuple[AccuracyStats, FidelityStats]:
+    """Score one method's accuracy and consumer fidelity over seeded
+    repeats, sampling once per repeat.
 
     Seeding matches :func:`~repro.core.runner.evaluate_method` run for
-    run, so fidelity describes exactly the profiles the accuracy numbers
-    describe. ``abort`` is polled between repeats; ``engine`` is forwarded
-    to :func:`~repro.core.runner.run_method` (bit-identical batches, so
-    fidelity never depends on the engine).
+    run, and the accuracy half equals what it returns, so fidelity
+    describes exactly the profiles the accuracy numbers describe.
+    ``abort`` is polled between repeats; ``engine`` is forwarded to
+    :func:`~repro.core.runner.run_method` (bit-identical batches, so
+    neither half depends on the engine).
     """
     if reference is None:
         with span("reference", workload=execution.program.name):
@@ -116,6 +136,7 @@ def evaluate_fidelity(
         reference.function_instr_counts().astype(np.float64)
     )
 
+    errors: list[float] = []
     jaccard: list[float] = []
     rank: list[float] = []
     inline: list[float] = []
@@ -128,27 +149,30 @@ def evaluate_fidelity(
         for seed in seeds:
             if abort is not None and abort():
                 raise EvaluationAborted(
-                    f"fidelity evaluation of {method_key!r} aborted after "
-                    f"{len(jaccard)} of the requested repeats"
+                    f"evaluation of {method_key!r} aborted after "
+                    f"{len(errors)} of the requested repeats"
                 )
-            profile, batch = run_method(
+            profile, batch = runner.run_method(
                 execution, method_key, base_period,
                 rng=np.random.default_rng(seed), normalize=False,
                 resolved=resolved, engine=engine,
             )
+            with span("score", method=method_key):
+                errors.append(runner.profile_error(
+                    runner.normalized(profile, execution), reference,
+                ).error)
             est_blocks = profile.block_instr_estimates
             jaccard.append(jaccard_at_n(est_blocks, ref_blocks, top_n))
             rank.append(weighted_rank_agreement(est_blocks, ref_blocks, top_n))
-            inline.append(selection_agreement(
-                inline_candidates(profile.function_instr_estimates()),
-                ref_inline,
-            ))
+            decision = inline_candidates(profile.function_instr_estimates())
+            inline.append(selection_agreement(decision, ref_inline))
             layout.append(layout_agreement(est_blocks, ref_blocks))
             convergence.append(_convergence_samples(
-                batch, resolved, method_key, ref_inline,
+                batch, resolved.attribution, ref_inline, decision,
             ))
+    count("runner.resolve_reused", max(len(errors) - 1, 0))
     count("fidelity.repeats", len(jaccard))
-    return FidelityStats(
+    return summarize_errors(method_key, errors), FidelityStats(
         method=method_key,
         top_n=top_n,
         jaccard=tuple(jaccard),

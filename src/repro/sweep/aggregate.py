@@ -17,6 +17,8 @@ reproduces it byte for byte.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -30,6 +32,39 @@ BOOTSTRAP_RESAMPLES = 2000
 
 #: Seed of the bootstrap generator (fixed: aggregates must be deterministic).
 BOOTSTRAP_SEED = 20150708
+
+#: Bytes of memoized bootstrap index matrices kept (least recently used
+#: out first); see :func:`_resample_indices`.
+INDEX_MEMO_BYTES = 8 << 20
+
+_index_memo: "OrderedDict[tuple[int, int, int], np.ndarray]" = OrderedDict()
+_index_memo_lock = threading.Lock()
+
+
+def _resample_indices(n: int, resamples: int, seed: int) -> np.ndarray:
+    """The ``(resamples, n)`` bootstrap index matrix of ``seed``.
+
+    Every interval over ``n`` values draws the same matrix, so it is drawn
+    once per ``(n, resamples, seed)`` and shared read-only, stored in the
+    narrowest unsigned type that holds ``n - 1``.
+    """
+    key = (n, resamples, seed)
+    with _index_memo_lock:
+        idx = _index_memo.get(key)
+        if idx is not None:
+            _index_memo.move_to_end(key)
+            return idx
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(resamples, n)).astype(
+        np.min_scalar_type(n - 1))
+    idx.flags.writeable = False
+    with _index_memo_lock:
+        _index_memo[key] = idx
+        held = sum(matrix.nbytes for matrix in _index_memo.values())
+        while held > INDEX_MEMO_BYTES and len(_index_memo) > 1:
+            _, dropped = _index_memo.popitem(last=False)
+            held -= dropped.nbytes
+    return idx
 
 
 @dataclass(frozen=True)
@@ -68,8 +103,7 @@ def bootstrap_ci(
     if data.size == 1:
         return BootstrapCI(mean=mean, lo=mean, hi=mean,
                            confidence=confidence, samples=1)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, data.size, size=(resamples, data.size))
+    idx = _resample_indices(int(data.size), resamples, seed)
     means = data[idx].mean(axis=1)
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(means, (alpha, 1.0 - alpha))

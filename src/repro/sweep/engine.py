@@ -33,7 +33,7 @@ from typing import Callable
 from repro.errors import SweepError
 from repro.obs import count, span
 from repro.core.cache import ArtifactCache
-from repro.core.experiment import CellSpec, ExperimentConfig
+from repro.core.experiment import CellScores, CellSpec, ExperimentConfig
 from repro.core.parallel import evaluate_cells
 from repro.core.stats import AccuracyStats
 from repro.fidelity.stats import FidelityStats
@@ -261,8 +261,7 @@ def run_campaign(
               resumed=done, jobs=jobs):
         with CampaignJournal(journal_path) as journal:
             journal.open(spec, resume=resume)
-            fresh: dict[SweepPoint, AccuracyStats | None] = {}
-            fresh_fidelity: dict[SweepPoint, FidelityStats | None] = {}
+            fresh: dict[SweepPoint, CellScores] = {}
 
             # One scheduler pass per distinct repeat count: the repeat axis
             # changes the ExperimentConfig, everything else rides in the
@@ -273,10 +272,10 @@ def run_campaign(
                     continue
                 by_cell = {p.cell: p for p in group}
 
-                def on_result(cell_spec, value, _seconds, _done, _total,
+                def on_result(cell_spec, scores, _seconds, _done, _total,
                               by_cell=by_cell):
                     point = by_cell[cell_spec]
-                    stats, fid = value if spec.fidelity else (value, None)
+                    stats, fid = scores
                     journal.record(point, stats, fid)
                     count("sweep.cells_done")
                     if stats is None:
@@ -291,20 +290,16 @@ def run_campaign(
                     jobs=jobs,
                     cache=cache,
                     on_result=on_result,
-                    fidelity=spec.fidelity,
-                    fidelity_top_n=spec.fidelity_top_n,
+                    fidelity_top_n=(spec.fidelity_top_n if spec.fidelity
+                                    else None),
                 )
                 for point in group:
-                    value = evaluated[point.cell]
-                    if spec.fidelity:
-                        fresh[point], fresh_fidelity[point] = value
-                    else:
-                        fresh[point] = value
+                    fresh[point] = evaluated[point.cell]
 
             for point in pending:
-                result.cells[point] = fresh[point]
-                if spec.fidelity:
-                    result.fidelity[point] = fresh_fidelity[point]
+                result.cells[point], fid = fresh[point]
+                if fid is not None:
+                    result.fidelity[point] = fid
 
     # Re-key in expansion order so resumed and uninterrupted runs are
     # indistinguishable downstream (reports iterate this dict).

@@ -12,6 +12,7 @@ byte-identical to one built unbounded, with evictions observed.
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +384,30 @@ def test_disk_tier_seeds_accounting_from_existing_store(tmp_path):
     assert snapshot.entries == 5 and snapshot.bytes > 8192
     assert tier.trim() > 0
     assert tier.stats().bytes <= 8192
+
+
+def test_unbounded_disk_tier_answers_hits_without_listing_the_store(
+        tmp_path, monkeypatch):
+    """An unbounded tier keeps no LRU books until something reads them:
+    a fresh cache over a populated store serves hits and stores without
+    walking the store, and stats() still counts every entry (keeping the
+    books current from then on)."""
+    digests = _fill(ArtifactCache(tmp_path), 5)
+    cache = ArtifactCache(tmp_path)
+
+    def listed(self, pattern):
+        raise AssertionError(f"listed the store: {self} {pattern}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "rglob", listed)
+        assert cache.get_arrays("trace", digests[0],
+                                ("block_seq",)) is not None
+        cache.put_arrays("trace", cache_digest(kind="trace", extra=1),
+                         block_seq=np.arange(8))
+    assert cache.tiers[0].stats().entries == 6
+    assert cache.stats().entries == 6
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "rglob", listed)
+        cache.put_arrays("trace", cache_digest(kind="trace", extra=2),
+                         block_seq=np.arange(8))
+        assert cache.tiers[0].stats().entries == 7

@@ -90,8 +90,10 @@ def test_harness_trace_independent_of_machine_order():
 
 def test_evaluate_cell_accepts_specs_and_matches_cell(harness):
     spec = CellSpec("ivybridge", "latency_biased", "precise")
-    stats = harness.evaluate_cell(spec)
-    assert stats is harness.cell("ivybridge", "latency_biased", "precise")
+    scores = harness.evaluate_cell(spec)
+    assert scores.fidelity is None
+    assert scores.stats is harness.cell("ivybridge", "latency_biased",
+                                        "precise")
     # The resolved-period spec is the canonical in-process cache key.
     assert CellSpec("ivybridge", "latency_biased", "precise", 2000) \
         in harness._cells

@@ -345,8 +345,8 @@ def test_kernel_workload_cells_identical():
     assert isinstance(default.engine, FastEngine)
     for method in ("classic", "precise_prime_rand", "lbr"):
         spec = CellSpec("ivybridge", "latency_biased", method)
-        ref = oracle.evaluate_cell(spec)
-        fast = default.evaluate_cell(spec)
+        ref = oracle.evaluate_cell(spec).stats
+        fast = default.evaluate_cell(spec).stats
         assert ref.errors == fast.errors, method
 
 

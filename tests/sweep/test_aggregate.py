@@ -9,6 +9,12 @@ from repro.sweep import (
     seed_convergence,
     summarize,
 )
+from repro.sweep import aggregate
+from repro.sweep.aggregate import (
+    BOOTSTRAP_RESAMPLES,
+    BOOTSTRAP_SEED,
+    _resample_indices,
+)
 
 
 class TestBootstrapCI:
@@ -38,6 +44,35 @@ class TestBootstrapCI:
     def test_empty_values_raise(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])
+
+    def test_memoized_interval_equals_a_fresh_draw(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 7, 75, 300):
+            values = rng.normal(0.5, 0.1, size=n)
+            first = bootstrap_ci(values)
+            again = bootstrap_ci(values.tolist())
+            # The reference: draw the index matrix afresh for this interval.
+            idx = np.random.default_rng(BOOTSTRAP_SEED).integers(
+                0, n, size=(BOOTSTRAP_RESAMPLES, n))
+            lo, hi = np.quantile(values[idx].mean(axis=1), (0.025, 0.975))
+            assert (first.lo, first.hi) == (float(lo), float(hi)), n
+            assert again == first, n
+
+    def test_index_matrix_is_shared_read_only(self):
+        shared = _resample_indices(75, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED)
+        assert _resample_indices(75, BOOTSTRAP_RESAMPLES,
+                                 BOOTSTRAP_SEED) is shared
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1
+
+    def test_index_memo_stays_within_its_byte_bound(self, monkeypatch):
+        bound = 10 * BOOTSTRAP_RESAMPLES * 40
+        monkeypatch.setattr(aggregate, "INDEX_MEMO_BYTES", bound)
+        for n in range(2, 60):
+            _resample_indices(n, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED + 1)
+        held = sum(m.nbytes for m in aggregate._index_memo.values())
+        assert 0 < held <= bound
 
 
 class TestCampaignAggregates:
