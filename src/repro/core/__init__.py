@@ -44,7 +44,7 @@ from repro.core.experiment import (
     Harness,
     build_trace,
 )
-from repro.core.parallel import evaluate_cells, group_by_workload, plan_cells
+from repro.core.parallel import evaluate_cells, plan_cells
 from repro.core.tables import (
     TABLE_METHOD_KEYS,
     TableResult,
@@ -111,7 +111,6 @@ __all__ = [
     "DEFAULT_MACHINES",
     "build_trace",
     "evaluate_cells",
-    "group_by_workload",
     "plan_cells",
     "TableResult",
     "TABLE_METHOD_KEYS",

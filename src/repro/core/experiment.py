@@ -119,6 +119,20 @@ def build_trace(
     return engine.trace(program)
 
 
+def _fitted_trace(program, block_seq: np.ndarray) -> Trace | None:
+    """A trace of ``program`` over a block sequence it did not run itself
+    (cached or handed over), or ``None`` when the sequence cannot be one.
+
+    Shape guard: a stale or corrupt sequence indexing past the program's
+    blocks is a miss, not a crash.
+    """
+    if (block_seq.ndim == 1 and block_seq.size > 0
+            and int(block_seq.max()) < program.num_blocks
+            and int(block_seq.min()) >= 0):
+        return Trace(program, block_seq.astype(np.int32))
+    return None
+
+
 class Harness:
     """Caches executions and per-cell accuracy statistics.
 
@@ -142,6 +156,7 @@ class Harness:
         self.cache = cache
         self._engine = engine
         self._traces: dict[str, Trace] = {}
+        self._handed: dict[str, np.ndarray] = {}
         self._references: dict[str, ReferenceCounts] = {}
         self._cells: dict[CellSpec, AccuracyStats] = {}
         self._fidelity: dict[tuple[CellSpec, int], FidelityStats] = {}
@@ -190,7 +205,7 @@ class Harness:
         evicted entry is only *correctness*-invisible, and thrashing the
         entry a cell is actively re-reading would be pathological.  The
         harness pins around each cell, and the parallel scheduler pins
-        around each workload group's whole dispatch.  Without a
+        around each (workload, machine) slice.  Without a
         persistent cache this is a no-op.
         """
         if self.cache is None:
@@ -202,10 +217,29 @@ class Harness:
         ):
             yield
 
+    def adopt_trace(self, workload_name: str, block_seq: np.ndarray) -> None:
+        """Use ``block_seq`` as the workload's trace instead of running it.
+
+        The parallel scheduler hands each workload's block sequence from
+        the slice that built it to the slices of its other machines.  The
+        sequence is checked on first use by the same shape guard as a
+        cached one; one that fails it is ignored, and :meth:`trace` falls
+        back to the cache or the interpreter.
+        """
+        if workload_name not in self._traces:
+            self._handed[workload_name] = block_seq
+
+    def held_trace(self, workload_name: str) -> Trace | None:
+        """The workload's trace if this harness has already made or
+        loaded it (``None`` otherwise; never builds one)."""
+        return self._traces.get(workload_name)
+
     def trace(self, workload_name: str) -> Trace:
         """The (cached) dynamic trace of one workload at the config scale.
 
-        The persistent trace cache is engine-agnostic: engines are
+        Sources, in order: a sequence handed over with
+        :meth:`adopt_trace`, the persistent cache, the interpreter.  The
+        persistent trace cache is engine-agnostic: engines are
         bit-identical by contract, so whichever one built the sequence
         first serves every later request.
         """
@@ -214,21 +248,18 @@ class Harness:
             with span("workload", workload=workload_name,
                       scale=self.config.scale):
                 program = engine.program(workload_name, self.config.scale)
-                block_seq = None
-                if self.cache is not None:
-                    digest = self._trace_digest(workload_name)
+                trace = None
+                handed = self._handed.pop(workload_name, None)
+                if handed is not None:
+                    trace = _fitted_trace(program, handed)
+                if trace is None and self.cache is not None:
                     arrays = self.cache.get_arrays(
-                        "trace", digest, ("block_seq",)
+                        "trace", self._trace_digest(workload_name),
+                        ("block_seq",),
                     )
                     if arrays is not None:
-                        candidate = arrays["block_seq"]
-                        # Shape guard: a stale or corrupt sequence indexing
-                        # past the program's blocks is a miss, not a crash.
-                        if (candidate.ndim == 1 and candidate.size > 0
-                                and int(candidate.max()) < program.num_blocks
-                                and int(candidate.min()) >= 0):
-                            block_seq = candidate.astype(np.int32)
-                if block_seq is None:
+                        trace = _fitted_trace(program, arrays["block_seq"])
+                if trace is None:
                     trace = build_trace(workload_name, self.config.scale,
                                         engine=engine, program=program)
                     if self.cache is not None:
@@ -236,8 +267,6 @@ class Harness:
                             "trace", self._trace_digest(workload_name),
                             block_seq=trace.block_seq,
                         )
-                else:
-                    trace = Trace(program, block_seq)
             self._traces[workload_name] = trace
         return self._traces[workload_name]
 

@@ -2,9 +2,21 @@
 
 Table 1/2 cells are fully independent (machine, workload, method, period)
 experiments, so they parallelize embarrassingly.  The unit of dispatch is a
-*workload group* — every :class:`~repro.core.experiment.CellSpec` of one
-workload — so each worker materializes (or pulls from the persistent cache)
-that workload's trace exactly once, mirroring the serial harness's sharing.
+*slice*: every :class:`~repro.core.experiment.CellSpec` of one (workload,
+machine) pair, in spec order.  A workload's first slice builds its trace
+(or loads it from the persistent cache) and returns the block sequence;
+the parent then submits the workload's other machine slices with that
+sequence, which their harnesses adopt
+(:meth:`~repro.core.experiment.Harness.adopt_trace`), so every program is
+interpreted once per evaluation, with or without a cache.  Slices run
+first-in first-out: each workload's first slice in spec order, then the
+follow-ups as their first slices complete.  A slice holds one machine's
+execution, and a workload's machines can run on different workers.
+
+``abort`` is polled each time a slice completes; a truthy return cancels
+the slices that have not started, submits no further follow-ups, and
+raises :class:`~repro.errors.EvaluationAborted`.  Slices already running
+finish first.
 
 Determinism: a cell's value is a pure function of its spec and the
 :class:`ExperimentConfig` (explicit seeds everywhere, DESIGN.md §7), so the
@@ -24,10 +36,11 @@ preserving the no-op fast path.
 
 from __future__ import annotations
 
-import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import EvaluationAborted
 from repro.obs import Collector, count, enabled, get_collector, install, span
@@ -66,14 +79,20 @@ def plan_cells(
     ]
 
 
-def group_by_workload(
+def plan_slices(
     specs: Iterable[CellSpec],
-) -> list[tuple[str, tuple[CellSpec, ...]]]:
-    """Group specs per workload, preserving first-appearance order."""
-    groups: dict[str, list[CellSpec]] = {}
+) -> list[list[tuple[CellSpec, ...]]]:
+    """Split specs into (workload, machine) slices, grouped per workload.
+
+    One list per workload, holding its machine slices; workloads, machines
+    and the specs inside a slice all keep their first-appearance order.
+    """
+    workloads: dict[str, dict[str, list[CellSpec]]] = {}
     for spec in specs:
-        groups.setdefault(spec.workload, []).append(spec)
-    return [(workload, tuple(group)) for workload, group in groups.items()]
+        machines = workloads.setdefault(spec.workload, {})
+        machines.setdefault(spec.machine, []).append(spec)
+    return [[tuple(piece) for piece in machines.values()]
+            for machines in workloads.values()]
 
 
 def _evaluate_group(
@@ -82,16 +101,22 @@ def _evaluate_group(
     specs: tuple[CellSpec, ...],
     observed: bool,
     fidelity_top_n: int | None = None,
-) -> tuple[list[CellResult], dict[str, float], list]:
-    """Worker entry point: evaluate one workload's cells.
+    block_seq: np.ndarray | None = None,
+) -> tuple[list[CellResult], dict[str, float], list, np.ndarray | None]:
+    """Worker entry point: evaluate one (workload, machine) slice.
 
     Top-level (picklable) by construction.  ``cache_config`` is the
     parent cache's :class:`~repro.core.cache.CacheConfig` (a bare root
     string is still accepted for compatibility), so workers rebuild the
-    same tier stack — budgets, hot tier, remote and all.  The group's
-    trace/reference entries stay pinned for the whole dispatch: under a
+    same tier stack — budgets, hot tier, remote and all.  The workload's
+    trace/reference entries stay pinned for the whole slice: under a
     byte budget, the shared artifacts every cell re-reads must not be
-    LRU-evicted mid-group.
+    LRU-evicted mid-slice.
+
+    ``block_seq`` is the workload's trace as handed over by the parent;
+    without one, the slice builds or loads the trace itself and returns
+    its block sequence last, for the workload's other slices (``None``
+    when no cell needed the trace).
 
     When the parent run is observed, installs a private collector (so
     worker counters never race the parent's) and returns its counter
@@ -103,18 +128,22 @@ def _evaluate_group(
     try:
         cache = resolve_cache(cache_config)
         harness = Harness(config, cache=cache)
+        workload = specs[0].workload
+        if block_seq is not None:
+            harness.adopt_trace(workload, block_seq)
         results: list[CellResult] = []
-        workload = specs[0].workload if specs else None
-        with (harness.pinned_workload(workload) if workload is not None
-                else contextlib.nullcontext()):
+        with harness.pinned_workload(workload):
             for spec in specs:
                 started = time.perf_counter()
                 scores = harness.evaluate_cell(
                     spec, fidelity_top_n=fidelity_top_n)
                 results.append((spec, scores, time.perf_counter() - started))
+        built = harness.held_trace(workload) if block_seq is None else None
+        hand_off = None if built is None else built.block_seq
         if collector is None:
-            return results, {}, []
-        return results, collector.metrics.counters(), collector.spans
+            return results, {}, [], hand_off
+        return results, collector.metrics.counters(), collector.spans, \
+            hand_off
     finally:
         if observed:
             install(previous)
@@ -134,15 +163,18 @@ def evaluate_cells(
 
     ``jobs <= 1`` runs in-process on ``harness`` (creating one if needed),
     preserving today's serial path exactly.  With ``jobs > 1`` the cells
-    are dispatched one workload group per task; ``parallel.cells_dispatched``
-    counts the dispatched cells, and each worker's counters are merged back
-    into the installed collector.
+    are dispatched one (workload, machine) slice per task
+    (:func:`plan_slices`): each workload's first slice at once, its other
+    machine slices with the block sequence the first one returns, so no
+    worker re-interprets a program.  ``parallel.cells_dispatched`` counts
+    the dispatched cells, and each worker's counters are merged back into
+    the installed collector.
 
     ``abort`` is polled between seeded repeats inside each cell on the
-    serial path, and between group completions on the parallel path (a
-    group already running finishes); a truthy return raises
-    :class:`EvaluationAborted`, after cancelling any not-yet-started
-    groups.
+    serial path, and each time a slice completes on the parallel path (a
+    slice already running finishes); a truthy return raises
+    :class:`EvaluationAborted`, after cancelling the slices not yet
+    started and without submitting any further follow-up slice.
 
     Each cell maps to its :class:`~repro.core.experiment.CellScores`;
     ``fidelity_top_n`` additionally scores consumer fidelity at that
@@ -165,35 +197,47 @@ def evaluate_cells(
                           done, total)
         return results
 
-    groups = group_by_workload(specs)
+    plan = plan_slices(specs)
+    slices = sum(len(pieces) for pieces in plan)
     cache_config = cache.describe() if cache is not None else None
     observed = enabled()
     count("parallel.cells_dispatched", total)
-    with span("parallel", jobs=jobs, groups=len(groups), cells=total):
-        workers = min(jobs, max(len(groups), 1))
+    with span("parallel", jobs=jobs, slices=slices, cells=total):
+        workers = min(jobs, max(slices, 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_evaluate_group, config, cache_config, group,
-                            observed, fidelity_top_n)
-                for _, group in groups
-            ]
-            for future in as_completed(futures):
-                if abort is not None and abort():
-                    for pending in futures:
-                        pending.cancel()
-                    raise EvaluationAborted(
-                        f"parallel evaluation aborted after {done} of "
-                        f"{total} cells"
-                    )
-                cell_results, counters, spans = future.result()
-                for name, value in counters.items():
-                    count(name, value)
-                collector = get_collector()
-                if collector is not None:
-                    collector.merge_spans(spans)
-                for spec, scores, seconds in cell_results:
-                    results[spec] = scores
-                    done += 1
-                    if on_result is not None:
-                        on_result(spec, scores, seconds, done, total)
+
+            def submit(piece, block_seq=None):
+                # The worker entry is looked up at every submit, so a
+                # wrapper installed on the module reaches follow-ups too.
+                return pool.submit(_evaluate_group, config, cache_config,
+                                   piece, observed, fidelity_top_n,
+                                   block_seq)
+
+            follow_ups = {submit(first): rest for first, *rest in plan}
+            running = set(follow_ups)
+            while running:
+                finished, running = wait(running,
+                                         return_when=FIRST_COMPLETED)
+                for future in finished:
+                    if abort is not None and abort():
+                        for pending in running:
+                            pending.cancel()
+                        raise EvaluationAborted(
+                            f"parallel evaluation aborted after {done} of "
+                            f"{total} cells"
+                        )
+                    cell_results, counters, spans, block_seq = \
+                        future.result()
+                    for piece in follow_ups.pop(future, ()):
+                        running.add(submit(piece, block_seq))
+                    for name, value in counters.items():
+                        count(name, value)
+                    collector = get_collector()
+                    if collector is not None:
+                        collector.merge_spans(spans)
+                    for spec, scores, seconds in cell_results:
+                        results[spec] = scores
+                        done += 1
+                        if on_result is not None:
+                            on_result(spec, scores, seconds, done, total)
     return results

@@ -128,24 +128,34 @@ class Trace:
         """Block index of each retired instruction (int32)."""
         return np.repeat(self.block_seq, self.occurrence_sizes)
 
-    # -- point lookups (no per-instruction materialization) ------------------
+    # -- point lookups ---------------------------------------------------------
     #
-    # ``blocks_at``/``addresses_at`` answer per-sample questions straight from
-    # the occurrence tables; they match ``instr_block[idx]``/``addresses[idx]``
-    # exactly but cost O(samples · log occurrences) instead of building the
-    # full per-instruction arrays — the property the fast engine's O(samples)
-    # sampling relies on.
+    # ``blocks_at``/``addresses_at`` answer per-sample questions from the
+    # occurrence tables through :attr:`occurrence_index`; they match
+    # ``instr_block[idx]``/``addresses[idx]`` exactly but touch O(samples)
+    # entries instead of building the full per-instruction arrays.
+
+    @cached_property
+    def occurrence_index(self) -> np.ndarray:
+        """Occurrence index of each retired instruction (int32).
+
+        The one per-instruction array the sampling path reads: 4 bytes per
+        instruction, built once per trace and shared by every machine's
+        execution, so finding a sample's occurrence is a gather instead
+        of a binary search over the occurrence starts.
+        """
+        return np.repeat(np.arange(self.block_seq.size, dtype=np.int32),
+                         self.occurrence_sizes)
 
     def _occurrence_of(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(occurrence index, within-occurrence offset) per trace index."""
         idx = np.asarray(idx, dtype=np.int64)
-        k = np.searchsorted(self.occurrence_starts, idx, side="right") - 1
+        k = self.occurrence_index[idx]
         return k, idx - self.occurrence_starts[k]
 
     def blocks_at(self, idx: np.ndarray) -> np.ndarray:
         """Block index of the given retired instructions (int32)."""
-        k, _ = self._occurrence_of(idx)
-        return self.block_seq[k]
+        return self.block_seq[self.occurrence_index[idx]]
 
     def addresses_at(self, idx: np.ndarray) -> np.ndarray:
         """Virtual address of the given retired instructions (int64)."""

@@ -36,6 +36,23 @@ def inline_candidates(function_counts: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(share >= INLINE_SHARE_THRESHOLD).tolist())
 
 
+def _hot_mask(counts: np.ndarray) -> np.ndarray:
+    """Bool per block: in the layout splitter's hot section."""
+    hot = np.zeros(counts.size, dtype=bool)
+    total = float(counts.sum())
+    if total <= 0:
+        return hot
+    order = np.argsort(-counts, kind="stable")
+    ordered = counts[order]
+    cum = np.cumsum(ordered)
+    # Smallest prefix whose mass reaches the coverage target; strip any
+    # zero-count tail that could never contribute.
+    cutoff = int(np.searchsorted(cum, HOT_COVERAGE * total)) + 1
+    top = order[:cutoff]
+    hot[top[counts[top] > 0]] = True
+    return hot
+
+
 def layout_hot_blocks(block_counts: np.ndarray) -> frozenset[int]:
     """The smallest hottest-first block set covering ``HOT_COVERAGE`` mass.
 
@@ -43,17 +60,7 @@ def layout_hot_blocks(block_counts: np.ndarray) -> frozenset[int]:
     deterministic. An all-zero profile yields the empty set.
     """
     counts = np.asarray(block_counts, dtype=np.float64)
-    total = float(counts.sum())
-    if total <= 0:
-        return frozenset()
-    order = np.argsort(-counts, kind="stable")
-    ordered = counts[order]
-    cum = np.cumsum(ordered)
-    # Smallest prefix whose mass reaches the coverage target; strip any
-    # zero-count tail that could never contribute.
-    cutoff = int(np.searchsorted(cum, HOT_COVERAGE * total)) + 1
-    hot = order[:cutoff]
-    return frozenset(hot[counts[hot] > 0].tolist())
+    return frozenset(np.flatnonzero(_hot_mask(counts)).tolist())
 
 
 def selection_agreement(estimated: frozenset[int], true: frozenset[int]) -> float:
@@ -64,6 +71,32 @@ def selection_agreement(estimated: frozenset[int], true: frozenset[int]) -> floa
     return len(estimated & true) / len(union)
 
 
+class LayoutReference:
+    """The reference side of :func:`layout_agreement`, computed once.
+
+    Every seeded repeat of a cell is scored against the same reference,
+    so :func:`~repro.fidelity.evaluate.evaluate_fidelity` builds this once
+    per cell: which blocks the reference executes and which it keeps hot.
+    """
+
+    def __init__(self, reference: np.ndarray) -> None:
+        counts = np.asarray(reference, dtype=np.float64)
+        self._executed = counts > 0
+        self._hot = _hot_mask(counts)
+
+    def agreement(self, estimate: np.ndarray) -> float:
+        """:func:`layout_agreement` of ``estimate`` against this
+        reference."""
+        counts = np.asarray(estimate, dtype=np.float64)
+        universe = (counts > 0) | self._executed
+        size = int(np.count_nonzero(universe))
+        if size == 0:
+            return 1.0
+        same = int(np.count_nonzero(universe & (_hot_mask(counts)
+                                                == self._hot)))
+        return same / size
+
+
 def layout_agreement(
     estimate: np.ndarray, reference: np.ndarray
 ) -> float:
@@ -72,14 +105,4 @@ def layout_agreement(
     The universe is every block either profile gives mass to; 1.0 when
     neither profile has any mass.
     """
-    est_counts = np.asarray(estimate, dtype=np.float64)
-    ref_counts = np.asarray(reference, dtype=np.float64)
-    universe = np.flatnonzero((est_counts > 0) | (ref_counts > 0))
-    if universe.size == 0:
-        return 1.0
-    est_hot = layout_hot_blocks(est_counts)
-    ref_hot = layout_hot_blocks(ref_counts)
-    same = sum(
-        1 for b in universe.tolist() if (b in est_hot) == (b in ref_hot)
-    )
-    return same / universe.size
+    return LayoutReference(reference).agreement(estimate)

@@ -36,15 +36,11 @@ from repro.core.lbr_counts import lbr_segments
 from repro.core.methods import Attribution, resolve_method
 from repro.core.stats import AccuracyStats, summarize_errors
 from repro.fidelity.decisions import (
+    LayoutReference,
     inline_candidates,
-    layout_agreement,
     selection_agreement,
 )
-from repro.fidelity.metrics import (
-    TOP_N_DEFAULT,
-    jaccard_at_n,
-    weighted_rank_agreement,
-)
+from repro.fidelity.metrics import TOP_N_DEFAULT, TopNReference
 from repro.fidelity.stats import FidelityStats
 
 
@@ -131,7 +127,11 @@ def evaluate_fidelity(
         with span("reference", workload=execution.program.name):
             reference = collect_reference(execution.trace)
     resolved = resolve_method(method_key, execution.uarch, base_period)
+    # Every repeat scores against the same reference: its side of each
+    # score is computed once per cell.
     ref_blocks = reference.block_instr_counts.astype(np.float64)
+    ref_top = TopNReference(ref_blocks, top_n)
+    ref_layout = LayoutReference(ref_blocks)
     ref_inline = inline_candidates(
         reference.function_instr_counts().astype(np.float64)
     )
@@ -162,11 +162,11 @@ def evaluate_fidelity(
                     runner.normalized(profile, execution), reference,
                 ).error)
             est_blocks = profile.block_instr_estimates
-            jaccard.append(jaccard_at_n(est_blocks, ref_blocks, top_n))
-            rank.append(weighted_rank_agreement(est_blocks, ref_blocks, top_n))
+            jaccard.append(ref_top.jaccard(est_blocks))
+            rank.append(ref_top.rank_agreement(est_blocks))
             decision = inline_candidates(profile.function_instr_estimates())
             inline.append(selection_agreement(decision, ref_inline))
-            layout.append(layout_agreement(est_blocks, ref_blocks))
+            layout.append(ref_layout.agreement(est_blocks))
             convergence.append(_convergence_samples(
                 batch, resolved.attribution, ref_inline, decision,
             ))

@@ -34,14 +34,52 @@ def top_n_blocks(counts: np.ndarray, n: int) -> np.ndarray:
     return order[counts[order] > 0]
 
 
+class TopNReference:
+    """The reference side of both top-N scores, computed once.
+
+    Every seeded repeat of a cell is scored against the same reference,
+    so :func:`~repro.fidelity.evaluate.evaluate_fidelity` builds this once
+    per cell: the reference's top-N set, and the weight and direction of
+    every pair among those blocks.
+    """
+
+    def __init__(self, reference: np.ndarray, n: int) -> None:
+        reference = np.asarray(reference, dtype=np.float64)
+        self.n = n
+        self.top = top_n_blocks(reference, n)
+        self._top_set = set(self.top.tolist())
+        ref_v = reference[self.top]
+        dref = np.subtract.outer(ref_v, ref_v)
+        self._upper = np.triu_indices(self.top.size, k=1)
+        self._weights = np.abs(dref[self._upper])
+        self._total = float(self._weights.sum())
+        self._direction = np.sign(dref[self._upper])
+
+    def jaccard(self, estimate: np.ndarray) -> float:
+        """:func:`jaccard_at_n` of ``estimate`` against this reference."""
+        est = set(top_n_blocks(estimate, self.n).tolist())
+        union = est | self._top_set
+        if not union:
+            return 1.0
+        return len(est & self._top_set) / len(union)
+
+    def rank_agreement(self, estimate: np.ndarray) -> float:
+        """:func:`weighted_rank_agreement` of ``estimate`` against this
+        reference."""
+        if self.top.size < 2 or self._total <= 0:
+            return 1.0
+        est_v = np.asarray(estimate, dtype=np.float64)[self.top]
+        dest = np.subtract.outer(est_v, est_v)[self._upper]
+        agree = np.sign(dest) == self._direction
+        tied = dest == 0
+        score = self._weights[agree].sum() \
+            + 0.5 * self._weights[tied & ~agree].sum()
+        return float(score / self._total)
+
+
 def jaccard_at_n(estimate: np.ndarray, reference: np.ndarray, n: int) -> float:
     """Jaccard similarity of the estimated and true top-``n`` block sets."""
-    est = set(top_n_blocks(estimate, n).tolist())
-    ref = set(top_n_blocks(reference, n).tolist())
-    union = est | ref
-    if not union:
-        return 1.0
-    return len(est & ref) / len(union)
+    return TopNReference(reference, n).jaccard(estimate)
 
 
 def weighted_rank_agreement(
@@ -54,21 +92,4 @@ def weighted_rank_agreement(
     estimate orders the same way (estimate ties score half). 1.0 when
     fewer than two blocks are hot or all pairs are reference-tied.
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    top = top_n_blocks(reference, n)
-    if top.size < 2:
-        return 1.0
-    ref_v = reference[top]
-    est_v = estimate[top]
-    dref = np.subtract.outer(ref_v, ref_v)
-    dest = np.subtract.outer(est_v, est_v)
-    upper = np.triu_indices(top.size, k=1)
-    weights = np.abs(dref[upper])
-    total = float(weights.sum())
-    if total <= 0:
-        return 1.0
-    agree = np.sign(dest[upper]) == np.sign(dref[upper])
-    tied = dest[upper] == 0
-    score = weights[agree].sum() + 0.5 * weights[tied & ~agree].sum()
-    return float(score / total)
+    return TopNReference(reference, n).rank_agreement(estimate)

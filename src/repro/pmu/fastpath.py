@@ -11,19 +11,23 @@ level index answering exactly the two queries sampling needs —
 ``search(cycles, side)``
     ``np.searchsorted(retire_cycles, cycles, side)`` without the array.
 
-Both run in O(log blocksize) per query off arrays whose length is the
-number of *block occurrences*, never the number of instructions.  The key
-identity: within one occurrence of block ``b`` the retirement cycle is
+The index's own arrays have one entry per *block occurrence*, and the
+only per-instruction array it reads is the trace's int32
+:attr:`~repro.cpu.trace.Trace.occurrence_index` (built once per trace and
+shared by every machine).  The key identity: within one occurrence of
+block ``b`` the retirement cycle is
 
 ``retire(start + j) = (start + j) // W  +  occ_base[k]  +  prefix_b(j)``
 
 where ``prefix_b`` is the block's static inclusive visible-stall prefix
 (a per-program pool cumsum) and ``occ_base[k]`` folds the stalls of all
 earlier occurrences plus the mispredict-refill penalties that land, by
-construction, exactly on occurrence boundaries.  Since ``retire`` is
-non-decreasing, a threshold query binary-searches the per-occurrence
-last-retire array, then resolves the position inside one block with a
-vectorized bisection over at most ``log2(max block size)`` steps.
+construction, exactly on occurrence boundaries.  A point lookup reads the
+instruction's occurrence ``k`` from the occurrence index.  Since
+``retire`` is non-decreasing, a threshold query binary-searches the
+per-occurrence last-retire array, then resolves the position inside one
+block with a vectorized bisection over at most ``log2(max block size)``
+steps.
 
 :class:`FastSampler` mirrors :meth:`Sampler._collect` line for line —
 same RNG draw order, same thresholds, same capture formulas — so its
@@ -44,6 +48,26 @@ from repro.pmu.overflow import overflow_thresholds
 from repro.pmu.sampler import SampleBatch, SamplingConfig, drop_flushed_ibs
 
 
+def _first_meeting(sizes: np.ndarray, meets) -> np.ndarray:
+    """Per query, the first in-occurrence offset ``j`` in ``[0, size)`` at
+    which ``meets(j)`` holds (int64).
+
+    ``meets`` maps an offset array to a bool array; it must be monotone in
+    ``j`` and hold at ``size - 1``, which the occurrence search guarantees.
+    A vectorized binary search: ``ceil(log2(max size))`` steps of a few
+    vector ops each, never a (queries x block size) table.
+    """
+    last = sizes - 1
+    pos = np.zeros(sizes.shape, dtype=np.int64)
+    for bit in reversed(range(int(last.max(initial=0)).bit_length())):
+        step = 1 << bit
+        # Every offset below ``pos`` fails; skip ``step`` more if the last
+        # of them fails too.  Probes past the end clamp to ``size - 1``,
+        # where ``meets`` holds, so ``pos`` never leaves the occurrence.
+        pos += step * ~meets(np.minimum(pos + (step - 1), last))
+    return pos
+
+
 class RetireIndex:
     """Occurrence-level index over one execution's retirement timeline."""
 
@@ -51,6 +75,7 @@ class RetireIndex:
         trace = execution.trace
         uarch = execution.uarch
         tables = trace.program.tables
+        self._trace = trace
         self.n = trace.num_instructions
         self.width = uarch.retire_width
         self.seq = trace.block_seq
@@ -71,15 +96,6 @@ class RetireIndex:
             - self.block_stall_base
 
         # Dynamic per-occurrence bases (O(block occurrences)).
-        # In-block offsets 0..max_block_size-1: the within-occurrence
-        # resolution below evaluates the retire formula at every offset of
-        # one (samples x offsets) table instead of bisecting — blocks are
-        # short (tens of instructions), so the table is tiny and the whole
-        # resolution is a handful of vector ops.
-        self._offsets = np.arange(
-            int(tables.block_sizes.max()), dtype=np.int64
-        )
-
         seq = self.seq
         occ_total = block_stall_total[seq]
         pen = uarch.mispredict_penalty_cycles
@@ -119,7 +135,7 @@ class RetireIndex:
     def at(self, idx: np.ndarray) -> np.ndarray:
         """``retire_cycles[idx]`` for in-range trace indices (int64)."""
         idx = np.asarray(idx, dtype=np.int64)
-        k = np.searchsorted(self.occ_starts, idx, side="right") - 1
+        k = self._trace.occurrence_index[idx]
         b = self.seq[k]
         pos = self.instr_offset[b] + (idx - self.occ_starts[k])
         return (idx // self.width + self.occ_base[k]
@@ -144,23 +160,20 @@ class RetireIndex:
             kk = k[hit]
             c = cycles[hit]
         b = self.seq[kk]
-        start = self.occ_starts[kk][:, None]
-        off = self.instr_offset[b][:, None]
+        start = self.occ_starts[kk]
+        off = self.instr_offset[b]
         # Fold the per-occurrence and per-block offsets into the query:
         # retire(start+j) cmp c  <=>  (start+j)//W + cumstall[off+j] cmp rel.
-        rel = (c - self.occ_base[kk] + self.block_stall_base[b])[:, None]
-        # Evaluate the formula at every in-block offset at once; offsets
-        # past the occurrence end are clamped to the last instruction and
-        # forced past the threshold, so the first-hit count below lands on
-        # the occurrence end for queries at (or beyond) its last retire.
-        last = (self.occ_sizes[kk] - 1)[:, None]
-        j = np.minimum(self._offsets, last)
-        v = (start + j) // self.width + self.pool_cumstall[off + j]
-        cond = (v > rel) if side == "right" else (v >= rel)
-        cond |= self._offsets > last
-        # cond is monotone along the row, so the False count is the first
-        # in-block offset meeting the query.
-        res = start[:, 0] + cond.shape[1] - cond.sum(axis=1)
+        rel = c - self.occ_base[kk] + self.block_stall_base[b]
+        width = self.width
+        cumstall = self.pool_cumstall
+        if side == "right":
+            def meets(j):
+                return (start + j) // width + cumstall[off + j] > rel
+        else:
+            def meets(j):
+                return (start + j) // width + cumstall[off + j] >= rel
+        res = start + _first_meeting(self.occ_sizes[kk], meets)
         if out is None:
             return res
         out[hit] = res
@@ -206,15 +219,11 @@ class RetireIndex:
             kk = k[hit]
             t = thresholds[hit]
         b = self.seq[kk]
-        off = self.instr_offset[b][:, None]
-        # First j in the block with inclusive uop prefix >= the residual;
-        # same all-offsets-at-once resolution as :meth:`search`.
-        target = (t - occ_uexcl[kk] + ubase[b])[:, None]
-        last = (self.occ_sizes[kk] - 1)[:, None]
-        j = np.minimum(self._offsets, last)
-        cond = pool_cumu[off + j] >= target
-        cond |= self._offsets > last
-        res = self.occ_starts[kk] + cond.shape[1] - cond.sum(axis=1)
+        off = self.instr_offset[b]
+        # First j in the block with inclusive uop prefix >= the residual.
+        target = t - occ_uexcl[kk] + ubase[b]
+        res = self.occ_starts[kk] + _first_meeting(
+            self.occ_sizes[kk], lambda j: pool_cumu[off + j] >= target)
         if out is None:
             return res
         out[hit] = res

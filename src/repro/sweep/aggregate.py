@@ -239,14 +239,19 @@ def fidelity_summary(result: "CampaignResult") -> list[FidelityRow]:
     return rows
 
 
-def period_sensitivity(result: "CampaignResult") -> dict[str, list[CurvePoint]]:
-    """Per-method err-vs-period curves at the deepest seed count."""
+def period_curves(rows: Iterable[SummaryRow]) -> dict[str, list[CurvePoint]]:
+    """Per-method err-vs-period curves read off :func:`summarize` rows."""
     curves: dict[str, list[CurvePoint]] = {}
-    for row in summarize(result):
+    for row in rows:
         curves.setdefault(row.method, []).append(
             CurvePoint(x=row.period, ci=row.ci)
         )
     return curves
+
+
+def period_sensitivity(result: "CampaignResult") -> dict[str, list[CurvePoint]]:
+    """Per-method err-vs-period curves at the deepest seed count."""
+    return period_curves(summarize(result))
 
 
 def seed_convergence(result: "CampaignResult") -> dict[str, list[CurvePoint]]:

@@ -13,7 +13,9 @@ A campaign's deliverables mirror what the paper would have plotted:
 
 Everything here is a pure function of the :class:`CampaignResult`, so a
 resumed campaign re-renders byte-identical reports — the acceptance
-criterion of the resume feature.
+criterion of the resume feature.  A :class:`CampaignReport` computes each
+aggregate once and renders every file from it: the aggregates' bootstrap
+intervals are nearly all of a report's cost.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from repro.sweep.aggregate import (
     CurvePoint,
     fidelity_summary,
-    period_sensitivity,
+    period_curves,
     seed_convergence,
     summarize,
 )
@@ -62,78 +64,6 @@ def _figure_block(curves: dict[str, list[CurvePoint]], x_label: str) -> str:
     return "\n".join(lines).rstrip()
 
 
-def render_markdown(result: CampaignResult) -> str:
-    """The full markdown report of one campaign."""
-    spec = result.spec
-    rows = summarize(result)
-    lines = [
-        f"# Campaign report: {spec.name}",
-        "",
-        f"- spec digest: `{spec.digest()}`",
-        f"- scale {spec.scale}, seed base {spec.seed_base}, "
-        f"seed counts {list(spec.seed_counts)}",
-        f"- workloads: {', '.join(spec.workloads)}",
-        f"- machines: {', '.join(spec.machines)}",
-        f"- methods: {', '.join(spec.methods)}",
-        "- periods: "
-        + ("per-workload defaults" if spec.periods is None
-           else ", ".join(f"{p:,}" for p in spec.periods)),
-        f"- cells: {result.num_points} "
-        f"({result.num_blank} blank: method unavailable on machine)",
-        "",
-        "## Summary — mean err(x) with 95% bootstrap CI "
-        f"(pooled at {spec.max_repeats} seeds)",
-        "",
-        "| method | period | mean err | 95% CI | cells |",
-        "|---|---|---|---|---|",
-    ]
-    for row in rows:
-        lines.append(
-            f"| {row.method} | {row.period:,} | {row.ci.mean:.4f} "
-            f"| [{row.ci.lo:.4f}, {row.ci.hi:.4f}] | {row.cells} |"
-        )
-    if result.has_fidelity:
-        lines += [
-            "",
-            "## Consumer fidelity — mean scores with 95% bootstrap CI "
-            f"(top-{spec.fidelity_top_n} blocks, "
-            f"pooled at {spec.max_repeats} seeds)",
-            "",
-            "| method | period | jaccard | rank | inline | layout "
-            "| converged | samples to converge |",
-            "|---|---|---|---|---|---|---|---|",
-        ]
-        for row in fidelity_summary(result):
-            samples = (
-                "—" if row.convergence is None
-                else f"{row.convergence.mean:.0f} "
-                     f"[{row.convergence.lo:.0f}, {row.convergence.hi:.0f}]"
-            )
-            lines.append(
-                f"| {row.method} | {row.period:,} "
-                f"| {row.jaccard.mean:.4f} | {row.rank.mean:.4f} "
-                f"| {row.inline.mean:.4f} | {row.layout.mean:.4f} "
-                f"| {row.converged}/{row.repeats} | {samples} |"
-            )
-    lines += [
-        "",
-        "## Figure 1 — period sensitivity (err vs base period, per method)",
-        "",
-        "```",
-        _figure_block(period_sensitivity(result), "period"),
-        "```",
-        "",
-        "## Figure 2 — seed convergence (err CI vs seeded repeats,"
-        " per method)",
-        "",
-        "```",
-        _figure_block(seed_convergence(result), "seeds"),
-        "```",
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def _write_atomic(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -150,54 +80,143 @@ def _csv_text(header: list[str], records: list[list[object]]) -> str:
     return buffer.getvalue()
 
 
-def summary_csv(result: CampaignResult) -> str:
-    return _csv_text(
-        ["method", "period", "mean_err", "ci_lo", "ci_hi", "cells",
-         "samples"],
-        [[r.method, r.period, f"{r.ci.mean:.6f}", f"{r.ci.lo:.6f}",
-          f"{r.ci.hi:.6f}", r.cells, r.ci.samples] for r in summarize(result)],
-    )
+class CampaignReport:
+    """Every report file of one campaign, rendered from aggregates
+    computed once per report."""
+
+    def __init__(self, result: CampaignResult) -> None:
+        self.result = result
+        self.summary = summarize(result)
+        self.fidelity = fidelity_summary(result)
+        self.periods = period_curves(self.summary)
+        self.seeds = seed_convergence(result)
+
+    def markdown(self) -> str:
+        """The full markdown report (``report.md``)."""
+        result = self.result
+        spec = result.spec
+        lines = [
+            f"# Campaign report: {spec.name}",
+            "",
+            f"- spec digest: `{spec.digest()}`",
+            f"- scale {spec.scale}, seed base {spec.seed_base}, "
+            f"seed counts {list(spec.seed_counts)}",
+            f"- workloads: {', '.join(spec.workloads)}",
+            f"- machines: {', '.join(spec.machines)}",
+            f"- methods: {', '.join(spec.methods)}",
+            "- periods: "
+            + ("per-workload defaults" if spec.periods is None
+               else ", ".join(f"{p:,}" for p in spec.periods)),
+            f"- cells: {result.num_points} "
+            f"({result.num_blank} blank: method unavailable on machine)",
+            "",
+            "## Summary — mean err(x) with 95% bootstrap CI "
+            f"(pooled at {spec.max_repeats} seeds)",
+            "",
+            "| method | period | mean err | 95% CI | cells |",
+            "|---|---|---|---|---|",
+        ]
+        for row in self.summary:
+            lines.append(
+                f"| {row.method} | {row.period:,} | {row.ci.mean:.4f} "
+                f"| [{row.ci.lo:.4f}, {row.ci.hi:.4f}] | {row.cells} |"
+            )
+        if result.has_fidelity:
+            lines += [
+                "",
+                "## Consumer fidelity — mean scores with 95% bootstrap CI "
+                f"(top-{spec.fidelity_top_n} blocks, "
+                f"pooled at {spec.max_repeats} seeds)",
+                "",
+                "| method | period | jaccard | rank | inline | layout "
+                "| converged | samples to converge |",
+                "|---|---|---|---|---|---|---|---|",
+            ]
+            for row in self.fidelity:
+                samples = (
+                    "—" if row.convergence is None
+                    else f"{row.convergence.mean:.0f} "
+                         f"[{row.convergence.lo:.0f}, "
+                         f"{row.convergence.hi:.0f}]"
+                )
+                lines.append(
+                    f"| {row.method} | {row.period:,} "
+                    f"| {row.jaccard.mean:.4f} | {row.rank.mean:.4f} "
+                    f"| {row.inline.mean:.4f} | {row.layout.mean:.4f} "
+                    f"| {row.converged}/{row.repeats} | {samples} |"
+                )
+        lines += [
+            "",
+            "## Figure 1 — period sensitivity (err vs base period, per "
+            "method)",
+            "",
+            "```",
+            _figure_block(self.periods, "period"),
+            "```",
+            "",
+            "## Figure 2 — seed convergence (err CI vs seeded repeats,"
+            " per method)",
+            "",
+            "```",
+            _figure_block(self.seeds, "seeds"),
+            "```",
+            "",
+        ]
+        return "\n".join(lines)
+
+    def summary_csv(self) -> str:
+        return _csv_text(
+            ["method", "period", "mean_err", "ci_lo", "ci_hi", "cells",
+             "samples"],
+            [[r.method, r.period, f"{r.ci.mean:.6f}", f"{r.ci.lo:.6f}",
+              f"{r.ci.hi:.6f}", r.cells, r.ci.samples]
+             for r in self.summary],
+        )
+
+    def period_sensitivity_csv(self) -> str:
+        return _csv_text(
+            ["method", "period", "mean_err", "ci_lo", "ci_hi"],
+            [[method, pt.x, f"{pt.ci.mean:.6f}", f"{pt.ci.lo:.6f}",
+              f"{pt.ci.hi:.6f}"]
+             for method, pts in self.periods.items()
+             for pt in pts],
+        )
+
+    def seed_convergence_csv(self) -> str:
+        return _csv_text(
+            ["method", "seeds", "mean_err", "ci_lo", "ci_hi",
+             "ci_half_width"],
+            [[method, pt.x, f"{pt.ci.mean:.6f}", f"{pt.ci.lo:.6f}",
+              f"{pt.ci.hi:.6f}", f"{pt.ci.half_width:.6f}"]
+             for method, pts in self.seeds.items()
+             for pt in pts],
+        )
+
+    def fidelity_csv(self) -> str:
+        records: list[list[object]] = []
+        for r in self.fidelity:
+            records.append([
+                r.method, r.period,
+                f"{r.jaccard.mean:.6f}", f"{r.jaccard.lo:.6f}",
+                f"{r.jaccard.hi:.6f}",
+                f"{r.rank.mean:.6f}", f"{r.inline.mean:.6f}",
+                f"{r.layout.mean:.6f}",
+                r.converged, r.repeats,
+                "" if r.convergence is None
+                else f"{r.convergence.mean:.1f}",
+                r.cells,
+            ])
+        return _csv_text(
+            ["method", "period", "jaccard", "jaccard_ci_lo", "jaccard_ci_hi",
+             "rank", "inline", "layout", "converged", "repeats",
+             "mean_samples_to_converge", "cells"],
+            records,
+        )
 
 
-def period_sensitivity_csv(result: CampaignResult) -> str:
-    return _csv_text(
-        ["method", "period", "mean_err", "ci_lo", "ci_hi"],
-        [[method, pt.x, f"{pt.ci.mean:.6f}", f"{pt.ci.lo:.6f}",
-          f"{pt.ci.hi:.6f}"]
-         for method, pts in period_sensitivity(result).items()
-         for pt in pts],
-    )
-
-
-def seed_convergence_csv(result: CampaignResult) -> str:
-    return _csv_text(
-        ["method", "seeds", "mean_err", "ci_lo", "ci_hi", "ci_half_width"],
-        [[method, pt.x, f"{pt.ci.mean:.6f}", f"{pt.ci.lo:.6f}",
-          f"{pt.ci.hi:.6f}", f"{pt.ci.half_width:.6f}"]
-         for method, pts in seed_convergence(result).items()
-         for pt in pts],
-    )
-
-
-def fidelity_csv(result: CampaignResult) -> str:
-    records: list[list[object]] = []
-    for r in fidelity_summary(result):
-        records.append([
-            r.method, r.period,
-            f"{r.jaccard.mean:.6f}", f"{r.jaccard.lo:.6f}",
-            f"{r.jaccard.hi:.6f}",
-            f"{r.rank.mean:.6f}", f"{r.inline.mean:.6f}",
-            f"{r.layout.mean:.6f}",
-            r.converged, r.repeats,
-            "" if r.convergence is None else f"{r.convergence.mean:.1f}",
-            r.cells,
-        ])
-    return _csv_text(
-        ["method", "period", "jaccard", "jaccard_ci_lo", "jaccard_ci_hi",
-         "rank", "inline", "layout", "converged", "repeats",
-         "mean_samples_to_converge", "cells"],
-        records,
-    )
+def render_markdown(result: CampaignResult) -> str:
+    """The full markdown report of one campaign."""
+    return CampaignReport(result).markdown()
 
 
 def write_reports(result: CampaignResult, out_dir: str | Path) -> list[Path]:
@@ -207,16 +226,17 @@ def write_reports(result: CampaignResult, out_dir: str | Path) -> list[Path]:
     artifact set (and every byte of it) of plain campaigns is unchanged.
     """
     out_dir = Path(out_dir)
+    report = CampaignReport(result)
     paths = [
-        _write_atomic(out_dir / "report.md", render_markdown(result)),
-        _write_atomic(out_dir / "summary.csv", summary_csv(result)),
+        _write_atomic(out_dir / "report.md", report.markdown()),
+        _write_atomic(out_dir / "summary.csv", report.summary_csv()),
         _write_atomic(out_dir / "period_sensitivity.csv",
-                      period_sensitivity_csv(result)),
+                      report.period_sensitivity_csv()),
         _write_atomic(out_dir / "seed_convergence.csv",
-                      seed_convergence_csv(result)),
+                      report.seed_convergence_csv()),
     ]
     if result.has_fidelity:
         paths.append(
-            _write_atomic(out_dir / "fidelity.csv", fidelity_csv(result))
+            _write_atomic(out_dir / "fidelity.csv", report.fidelity_csv())
         )
     return paths

@@ -130,3 +130,18 @@ def kernel_traces():
         result = run_program(program)
         traces[name] = Trace(program, result.block_seq)
     return traces
+
+
+#: The workloads of the benchmark's campaign: the slice-dispatch and
+#: occurrence-index paths see these at paper scale.
+CAMPAIGN_WORKLOADS = ("callchain", "phased", "interleaved", "memaccess",
+                      "omnetpp")
+
+
+@pytest.fixture(scope="session")
+def campaign_traces():
+    """Small-scale traces of the campaign workloads, keyed by name."""
+    from repro.core.experiment import build_trace
+
+    return {name: build_trace(name, scale=0.02)
+            for name in CAMPAIGN_WORKLOADS}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.machine import Machine
+from repro.obs import collecting
 from repro.cpu.uarch import ALL_UARCHES
 from repro.core.experiment import (
     CellSpec,
@@ -97,3 +98,28 @@ def test_evaluate_cell_accepts_specs_and_matches_cell(harness):
     # The resolved-period spec is the canonical in-process cache key.
     assert CellSpec("ivybridge", "latency_biased", "precise", 2000) \
         in harness._cells
+
+
+def test_adopted_trace_is_used_without_interpreting(harness):
+    built = harness.trace("callchain")
+    fresh = Harness(harness.config)
+    fresh.adopt_trace("callchain", built.block_seq.copy())
+    with collecting() as col:
+        adopted = fresh.trace("callchain")
+    assert "interpret" not in col.span_names()
+    np.testing.assert_array_equal(adopted.block_seq, built.block_seq)
+    assert fresh.held_trace("callchain") is adopted
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([], dtype=np.int32),
+    np.array([0, 1, 10**6], dtype=np.int32),
+    np.array([0, -1, 2], dtype=np.int32),
+    np.zeros((2, 3), dtype=np.int32),
+], ids=["empty", "past-the-blocks", "negative", "two-d"])
+def test_adopted_trace_failing_the_shape_guard_is_ignored(harness, bad):
+    fresh = Harness(harness.config)
+    fresh.adopt_trace("callchain", bad)
+    assert fresh.held_trace("callchain") is None
+    np.testing.assert_array_equal(fresh.trace("callchain").block_seq,
+                                  harness.trace("callchain").block_seq)

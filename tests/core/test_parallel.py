@@ -1,16 +1,18 @@
 """Tests for the parallel cell scheduler (serial/parallel equivalence)."""
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.errors import EvaluationAborted
 from repro.obs import collecting
 from repro.core.cache import ArtifactCache
 from repro.core.experiment import CellSpec, ExperimentConfig, Harness
 from repro.core.parallel import (
     evaluate_cells,
-    group_by_workload,
     plan_cells,
+    plan_slices,
 )
 from repro.core.tables import build_table1
 
@@ -44,11 +46,19 @@ def test_plan_cells_matches_serial_loop_order():
     assert all(s.period == 2000 for s in specs)
 
 
-def test_group_by_workload_preserves_order():
+def test_plan_slices_preserves_order():
     specs = plan_cells(CONFIG, WORKLOADS, METHODS)
-    groups = group_by_workload(specs)
-    assert [workload for workload, _ in groups] == list(WORKLOADS)
-    assert sum(len(group) for _, group in groups) == len(specs)
+    plan = plan_slices(specs)
+    assert [pieces[0][0].workload for pieces in plan] == list(WORKLOADS)
+    for pieces in plan:
+        # One slice per machine, in config order, each one (workload,
+        # machine) pair with its methods in spec order.
+        assert [piece[0].machine for piece in pieces] == list(CONFIG.machines)
+        for piece in pieces:
+            assert len({(s.workload, s.machine) for s in piece}) == 1
+            assert [s.method for s in piece] == list(METHODS)
+    flat = [spec for pieces in plan for piece in pieces for spec in piece]
+    assert flat == specs
 
 
 def test_parallel_equals_serial_cells():
@@ -116,8 +126,50 @@ def test_blank_cells_survive_the_parallel_path():
     assert results[specs[1]].stats is not None
 
 
-def test_jobs_capped_by_group_count():
-    # More jobs than workload groups must still work (pool sized down).
+def test_jobs_capped_by_slice_count():
+    # More jobs than slices must still work (pool sized down).
     specs = plan_cells(CONFIG, ("latency_biased",), ("classic",))
     results = evaluate_cells(CONFIG, specs, jobs=8)
     assert len(results) == len(specs)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_slices_hand_off_the_trace(tmp_path, cached):
+    """2 workloads x 3 machines at jobs=2: serial results, and each
+    program interpreted once — by its first slice — with or without a
+    cache."""
+    specs = plan_cells(CONFIG, WORKLOADS, METHODS)
+    serial = evaluate_cells(CONFIG, specs, jobs=1)
+    cache = ArtifactCache(tmp_path) if cached else None
+    with collecting() as col:
+        sliced = evaluate_cells(CONFIG, specs, jobs=2, cache=cache)
+    assert sliced == serial
+    interpreted = [record for record in col.spans
+                   if record.name == "interpret"]
+    assert len(interpreted) == len(WORKLOADS)
+    assert col.metrics.counter("harness.cells_evaluated") == len(specs)
+
+
+def test_abort_after_first_slice_submits_no_follow_up(monkeypatch):
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[2])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr("repro.core.parallel.ProcessPoolExecutor",
+                        RecordingPool)
+    specs = plan_cells(CONFIG, WORKLOADS, METHODS)
+    polls = []
+
+    def abort():
+        polls.append(len(submitted))
+        return True
+
+    with pytest.raises(EvaluationAborted):
+        evaluate_cells(CONFIG, specs, jobs=2, abort=abort)
+    # Polled once, at the first completion, which stopped the dispatch
+    # before that slice's follow-ups went out.
+    assert polls == [len(WORKLOADS)]
+    assert submitted == [pieces[0] for pieces in plan_slices(specs)]

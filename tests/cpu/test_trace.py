@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ExecutionError
 from repro.cpu.interpreter import run_program
 from repro.cpu.trace import Trace
 
 from tests.conftest import build_counted_loop
+from tests.integration.test_pipeline_properties import programs_with_calls
 
 
 def test_empty_sequence_rejected(loop_program):
@@ -114,3 +116,26 @@ def test_latency_classes_and_uops_match_pool(loop_trace):
         == tables.pool_latclass[loop_trace._pool_index]
     ).all()
     assert (loop_trace.uops >= 1).all()
+
+
+def _assert_point_lookups_exact(trace):
+    idx = np.arange(trace.num_instructions)
+    np.testing.assert_array_equal(trace.blocks_at(idx), trace.instr_block)
+    np.testing.assert_array_equal(trace.addresses_at(idx), trace.addresses)
+    ends = idx[[0, -1]]
+    np.testing.assert_array_equal(trace.blocks_at(ends),
+                                  trace.block_seq[[0, -1]])
+    assert trace.occurrence_index.dtype == np.int32
+
+
+@given(programs_with_calls())
+@settings(max_examples=25, deadline=None)
+def test_point_lookups_match_per_instruction_arrays(program):
+    """Every instruction, first and last included, resolves through the
+    occurrence index to the per-instruction arrays' block and address."""
+    _assert_point_lookups_exact(Trace(program, run_program(program).block_seq))
+
+
+def test_point_lookups_on_campaign_workloads(campaign_traces):
+    for trace in campaign_traces.values():
+        _assert_point_lookups_exact(trace)

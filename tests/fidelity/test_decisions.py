@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fidelity.decisions import (
     HOT_COVERAGE,
     INLINE_SHARE_THRESHOLD,
+    LayoutReference,
     inline_candidates,
     layout_agreement,
     layout_hot_blocks,
@@ -59,3 +61,24 @@ def test_layout_agreement_counts_misclassified_blocks():
 
 def test_layout_agreement_empty_universe():
     assert layout_agreement(np.zeros(3), np.zeros(3)) == 1.0
+
+
+_profiles = st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                     max_size=30)
+
+
+@given(_profiles, _profiles)
+@settings(max_examples=200, deadline=None)
+def test_vector_layout_agreement_equals_per_block_count(est, ref):
+    """The vector count equals checking every executed block in turn."""
+    size = max(len(est), len(ref))
+    estimate = np.array(est + [0] * (size - len(est)), dtype=np.float64)
+    reference = np.array(ref + [0] * (size - len(ref)), dtype=np.float64)
+    universe = np.flatnonzero((estimate > 0) | (reference > 0))
+    est_hot = layout_hot_blocks(estimate)
+    ref_hot = layout_hot_blocks(reference)
+    same = sum(1 for b in universe.tolist()
+               if (b in est_hot) == (b in ref_hot))
+    expected = same / universe.size if universe.size else 1.0
+    assert LayoutReference(reference).agreement(estimate) == expected
+    assert layout_agreement(estimate, reference) == expected

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fidelity.metrics import (
     TOP_N_DEFAULT,
+    TopNReference,
     jaccard_at_n,
     top_n_blocks,
     weighted_rank_agreement,
@@ -78,3 +80,45 @@ def test_rank_agreement_degenerate_cases():
     # All reference-tied pairs: no weight, perfect by definition.
     tied = np.array([5.0, 5.0, 5.0])
     assert weighted_rank_agreement(np.array([1.0, 2.0, 3.0]), tied, 3) == 1.0
+
+
+def _jaccard_oracle(estimate, reference, n):
+    est = set(top_n_blocks(estimate, n).tolist())
+    ref = set(top_n_blocks(reference, n).tolist())
+    union = est | ref
+    return 1.0 if not union else len(est & ref) / len(union)
+
+
+def _rank_oracle(estimate, reference, n):
+    top = top_n_blocks(reference, n)
+    if top.size < 2:
+        return 1.0
+    dref = np.subtract.outer(reference[top], reference[top])
+    dest = np.subtract.outer(estimate[top], estimate[top])
+    upper = np.triu_indices(top.size, k=1)
+    weights = np.abs(dref[upper])
+    total = float(weights.sum())
+    if total <= 0:
+        return 1.0
+    agree = np.sign(dest[upper]) == np.sign(dref[upper])
+    tied = dest[upper] == 0
+    score = weights[agree].sum() + 0.5 * weights[tied & ~agree].sum()
+    return float(score / total)
+
+
+_profiles = st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                     max_size=30)
+
+
+@given(_profiles, _profiles, st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_reference_side_scores_equal_per_call_scores(est, ref, n):
+    """One TopNReference scores every estimate exactly as recomputing the
+    reference per call does (ties and zero counts included)."""
+    size = max(len(est), len(ref))
+    estimate = np.array(est + [0] * (size - len(est)), dtype=np.float64)
+    reference = np.array(ref + [0] * (size - len(ref)), dtype=np.float64)
+    scorer = TopNReference(reference, n)
+    assert scorer.jaccard(estimate) == _jaccard_oracle(estimate, reference, n)
+    assert scorer.rank_agreement(estimate) \
+        == _rank_oracle(estimate, reference, n)

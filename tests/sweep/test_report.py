@@ -9,12 +9,7 @@ from repro.sweep import (
     summarize,
     write_reports,
 )
-from repro.sweep.report import (
-    fidelity_csv,
-    period_sensitivity_csv,
-    seed_convergence_csv,
-    summary_csv,
-)
+from repro.sweep.report import CampaignReport
 
 
 def test_markdown_report_structure(tiny_result):
@@ -33,11 +28,14 @@ def test_markdown_report_structure(tiny_result):
 
 def test_rendering_is_deterministic(tiny_result):
     assert render_markdown(tiny_result) == render_markdown(tiny_result)
-    assert summary_csv(tiny_result) == summary_csv(tiny_result)
+    assert CampaignReport(tiny_result).summary_csv() \
+        == CampaignReport(tiny_result).summary_csv()
 
 
 def test_summary_csv_matches_aggregates(tiny_result):
-    rows = list(csv.DictReader(io.StringIO(summary_csv(tiny_result))))
+    rows = list(csv.DictReader(
+        io.StringIO(CampaignReport(tiny_result).summary_csv())
+    ))
     summary = summarize(tiny_result)
     assert len(rows) == len(summary)
     for row, expected in zip(rows, summary):
@@ -51,11 +49,11 @@ def test_summary_csv_matches_aggregates(tiny_result):
 def test_curve_csvs_have_expected_axes(tiny_result):
     spec = tiny_result.spec
     periods = list(csv.DictReader(
-        io.StringIO(period_sensitivity_csv(tiny_result))
+        io.StringIO(CampaignReport(tiny_result).period_sensitivity_csv())
     ))
     assert {int(r["period"]) for r in periods} == set(spec.periods)
     seeds = list(csv.DictReader(
-        io.StringIO(seed_convergence_csv(tiny_result))
+        io.StringIO(CampaignReport(tiny_result).seed_convergence_csv())
     ))
     assert {int(r["seeds"]) for r in seeds} == set(spec.seed_counts)
     assert all(float(r["ci_half_width"]) >= 0 for r in seeds)
@@ -90,7 +88,9 @@ def test_fidelity_report_section_and_csv(fidelity_campaign, tmp_path):
 
     paths = write_reports(result, tmp_path)
     assert [p.name for p in paths][-1] == "fidelity.csv"
-    rows = list(csv.DictReader(io.StringIO(fidelity_csv(result))))
+    rows = list(csv.DictReader(
+        io.StringIO(CampaignReport(result).fidelity_csv())
+    ))
     assert {r["method"] for r in rows} == set(spec.methods)
     for row in rows:
         for field in ("jaccard", "rank", "inline", "layout"):
@@ -103,7 +103,8 @@ def test_fidelity_report_section_and_csv(fidelity_campaign, tmp_path):
 def test_fidelity_report_is_deterministic(fidelity_campaign):
     _, result, _ = fidelity_campaign
     assert render_markdown(result) == render_markdown(result)
-    assert fidelity_csv(result) == fidelity_csv(result)
+    assert CampaignReport(result).fidelity_csv() \
+        == CampaignReport(result).fidelity_csv()
 
 
 def test_fidelity_summary_pools_per_seed_scores(fidelity_campaign):
