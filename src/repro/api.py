@@ -101,7 +101,6 @@ __all__ = [
     "load_bench",
     "load_campaign",
     "load_table",
-    "run_bench",
     "run_campaign",
     "run_fidelity",
     "run_hammer",
@@ -540,16 +539,9 @@ def load_table(path: str | Path) -> TableResult:
 
 # -- benchmarking facade ---------------------------------------------------
 #
-# repro.bench imports this module (it drives the same evaluate_request /
-# run_campaign paths users pay for), so these wrappers import it lazily:
-# the facade stays one flat namespace without a circular import.
-
-
-def run_bench(suite: str = "table1", **kwargs):
-    """Benchmark the pipeline itself; see :func:`repro.bench.run_bench`."""
-    from repro.bench import run_bench as _run_bench
-
-    return _run_bench(suite, **kwargs)
+# repro.bench.hammer imports this module (it builds its load from
+# EvaluateRequest), so these wrappers import repro.bench lazily: the facade
+# stays one flat namespace without a circular import.
 
 
 def run_hammer(url: str, **kwargs):

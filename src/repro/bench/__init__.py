@@ -1,19 +1,21 @@
-"""Trustworthy self-benchmarking: harness, load generator, regression gate.
+"""Trustworthy self-benchmarking: importer, load generator, regression gate.
 
 The package applies the paper's own discipline — numbers are only as good
 as the validated substrate that produced them — to the reproduction's
-performance:
+performance.  It measures nothing itself except the served path under
+``hammer``: ``perfbench/`` is the one benchmark, and this package records
+and gates its output.
 
-* :mod:`repro.bench.harness` — ``repro-pmu bench run``: cells/sec and
-  simulated instructions/sec for table/sweep evaluation, cold and warm
-  cache phases reported separately, with hard sanity guards.
+* :mod:`repro.bench.importer` — ``repro-pmu bench import``: perfbench runs
+  of one workload as one guarded document (median value, per-run
+  samples, a guard for correctness, failed operations and every metric).
 * :mod:`repro.bench.hammer` — ``repro-pmu hammer``: a QPS load generator
   for the serve daemon where errors are first-class outcomes and client
   tallies are cross-checked against the daemon's ``/metrics``.
 * :mod:`repro.bench.result` — the versioned ``BENCH_<area>.json`` document
-  every run writes (guards attached to every metric).
+  that imports and ``hammer`` write (guards attached to every metric).
 * :mod:`repro.bench.compare` — ``repro-pmu bench compare``: the
-  direction-aware perf-regression gate CI runs on those documents.
+  direction- and spread-aware regression gate CI runs on those documents.
 """
 
 from repro.bench.compare import (
@@ -31,7 +33,7 @@ from repro.bench.guards import (
     check_nonzero_work,
 )
 from repro.bench.hammer import run_hammer
-from repro.bench.harness import SUITES, run_bench
+from repro.bench.importer import import_runs
 from repro.bench.result import (
     BENCH_SCHEMA_VERSION,
     BenchResult,
@@ -47,7 +49,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_MAX_REGRESSION_PCT",
     "DEFAULT_MIN_ELAPSED_S",
-    "SUITES",
     "BenchResult",
     "CompareResult",
     "GuardCheck",
@@ -61,8 +62,8 @@ __all__ = [
     "check_min_elapsed",
     "check_nonzero_work",
     "compare_bench",
+    "import_runs",
     "load_bench",
-    "run_bench",
     "run_hammer",
     "save_bench",
 ]

@@ -1,4 +1,4 @@
-"""`repro-pmu bench ...` / `repro-pmu hammer` subcommands.
+"""`repro-pmu bench import|compare` / `repro-pmu hammer` subcommands.
 
 Registered into the main CLI by :func:`register_parsers` (called from
 :mod:`repro.core.cli`) so the bench package stays an optional leaf:
@@ -19,42 +19,14 @@ import json
 from repro.obs.log import Emitter
 
 
-def _csv(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
-def _csv_int(value: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in _csv(value))
-
-
-def cmd_bench_run(args: argparse.Namespace, out: Emitter) -> int:
-    from repro.bench.guards import DEFAULT_MIN_ELAPSED_S
-    from repro.bench.harness import run_bench
+def cmd_bench_import(args: argparse.Namespace, out: Emitter) -> int:
+    from repro.bench.importer import import_runs
     from repro.bench.result import save_bench
 
-    result = run_bench(
-        args.suite,
-        machine=args.machine,
-        workloads=args.workloads,
-        methods=args.methods,
-        periods=args.periods,
-        scale=args.scale,
-        repeats=args.repeats,
-        seed_base=args.seed,
-        iterations=args.iterations,
-        warmup=args.warmup,
-        min_elapsed_s=(DEFAULT_MIN_ELAPSED_S if args.min_elapsed is None
-                       else args.min_elapsed),
-        cache_dir=args.cache_dir,
-        cache_max_bytes=getattr(args, "cache_max_bytes", None),
-        cache_hot_entries=getattr(args, "cache_hot_entries", 0) or 0,
-        area=args.area,
-    )
-    if args.out:
-        path = save_bench(result, args.out)
-        out.info("bench result written to %s", path)
-    out.result(json.dumps(result.to_dict(), indent=2) if args.json
-               else result.render())
+    result = import_runs(args.runs, args.workload)
+    path = save_bench(result, args.out)
+    out.info("bench result written to %s", path)
+    out.result(result.render())
     return 0 if result.ok else 1
 
 
@@ -118,63 +90,28 @@ def cmd_hammer(args: argparse.Namespace, out: Emitter) -> int:
     return 0 if result.ok else 1
 
 
-def register_parsers(sub, add_obs_args, add_cache_budget_args=None) -> None:
-    """Attach ``bench`` and ``hammer`` to the main parser's subparsers.
-
-    ``add_cache_budget_args`` is the core CLI's shared
-    ``--cache-max-bytes``/``--cache-hot-entries`` helper, so the bench
-    warm phase can measure the pipeline *under a cache budget*.
-    """
+def register_parsers(sub, add_obs_args) -> None:
+    """Attach ``bench`` and ``hammer`` to the main parser's subparsers."""
     pb = sub.add_parser(
         "bench",
-        help="measure and gate the pipeline's own performance (repro.bench)",
+        help="record and gate perfbench's measurements (repro.bench)",
     )
     bsub = pb.add_subparsers(dest="bench_command", required=True)
 
-    pbr = bsub.add_parser(
-        "run",
-        help="benchmark table/sweep evaluation; writes BENCH_<area>.json",
+    pbi = bsub.add_parser(
+        "import",
+        help="record perfbench runs of one workload as "
+             "BENCH_<workload>.json",
     )
-    pbr.add_argument("suite", nargs="?", default="table1",
-                     choices=("table1", "table2", "sweep"),
-                     help="what to measure (default table1)")
-    pbr.add_argument("--machine", default="ivybridge")
-    pbr.add_argument("--workloads", type=_csv, default=None, metavar="A,B",
-                     help="workload subset (default: the suite's full set)")
-    pbr.add_argument("--methods", type=_csv, default=None, metavar="A,B",
-                     help="method subset (default: the table methods)")
-    pbr.add_argument("--periods", type=_csv_int, default=None,
-                     metavar="N,M", help="sweep suite period axis")
-    pbr.add_argument("--scale", type=float, default=0.05,
-                     help="workload size multiplier (default 0.05)")
-    pbr.add_argument("--repeats", type=int, default=1,
-                     help="seeded repeats per cell (default 1)")
-    pbr.add_argument("--seed", type=int, default=100,
-                     help="first seed of the repeat range (default 100)")
-    pbr.add_argument("--iterations", type=int, default=3, metavar="N",
-                     help="measured passes per phase (default 3; the "
-                          "headline value is their median)")
-    pbr.add_argument("--warmup", type=int, default=1, metavar="N",
-                     help="un-timed warmup passes (default 1; also fills "
-                          "the warm-phase artifact cache)")
-    pbr.add_argument("--min-elapsed", type=float, default=None,
-                     metavar="SECONDS",
-                     help="sanity guard: a measured pass shorter than this "
-                          "marks the result invalid (default 0.05)")
-    pbr.add_argument("--cache-dir", metavar="DIR", default=None,
-                     help="warm-phase artifact cache location (default: a "
-                          "fresh temp directory)")
-    if add_cache_budget_args is not None:
-        add_cache_budget_args(pbr)
-    pbr.add_argument("--area", default=None,
-                     help="result area override (default: the suite name)")
-    pbr.add_argument("--out", metavar="DIR", default=None,
-                     help="write BENCH_<area>.json into DIR")
-    pbr.add_argument("--json", action="store_true",
-                     help="emit the full result document instead of the "
-                          "summary")
-    add_obs_args(pbr)
-    pbr.set_defaults(func=cmd_bench_run)
+    pbi.add_argument("runs", nargs="+", metavar="RUN",
+                     help="a file holding one perfbench run's stdout")
+    pbi.add_argument("--workload", required=True, metavar="NAME",
+                     help="the BENCHMARK.json workload the runs measured")
+    pbi.add_argument("--out", required=True, metavar="DIR",
+                     help="write BENCH_<workload>.json (traced runs: "
+                          "BENCH_<workload>_layers.json) into DIR")
+    add_obs_args(pbi)
+    pbi.set_defaults(func=cmd_bench_import)
 
     pbc = bsub.add_parser(
         "compare",
@@ -186,8 +123,9 @@ def register_parsers(sub, add_obs_args, add_cache_budget_args=None) -> None:
     pbc.add_argument("--max-regression-pct", type=float, default=20.0,
                      metavar="PCT",
                      help="allowed per-metric regression before the gate "
-                          "trips (default 20; use a wider value across "
-                          "machines)")
+                          "trips (default 20); when both sides carry 3+ "
+                          "samples, a metric must also move by more than "
+                          "the baseline's interquartile range")
     pbc.add_argument("--json", action="store_true",
                      help="emit the comparison as JSON")
     add_obs_args(pbc)

@@ -13,22 +13,31 @@ regresses past a threshold.  Trust rules, in order:
   candidate fails: silently losing a metric is how regressions hide.
 * Direction-aware deltas: ``higher``-is-better metrics regress when the
   candidate drops by more than ``max_regression_pct``; ``lower``-is-better
-  (latencies, error rates) when it *rises* past the threshold.
-  Improvements and new candidate-only metrics are reported, never fatal.
+  (latencies, error rates) when it *rises* past the threshold.  A worse
+  value from a zero baseline always regresses (no percentage describes
+  it; it renders as "from zero").  Improvements and new candidate-only
+  metrics are reported, never fatal.
+* Spread: when both sides carry at least :data:`MIN_SPREAD_SAMPLES`
+  per-run samples (imported perfbench runs), a metric regresses only if
+  it is *also* worse by more than the baseline samples' interquartile
+  range, so run-to-run noise on the runner cannot fail the gate.
+  Documents without samples (``hammer``'s) are judged by the threshold
+  alone.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 from repro.bench.result import STATUS_OK, BenchResult, Metric
 from repro.errors import BenchError
 
-#: Default allowed regression before the gate trips, in percent.  Generous
-#: enough for same-machine run-to-run noise at small iteration counts;
-#: cross-machine comparisons (CI vs a checked-in baseline) should pass an
-#: explicitly wider threshold.
+#: Default allowed regression before the gate trips, in percent.
 DEFAULT_MAX_REGRESSION_PCT = 20.0
+
+#: Per-run samples each side needs before the spread rule applies.
+MIN_SPREAD_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -49,10 +58,12 @@ class MetricDelta:
             return "--" if value is None else f"{value:,.4g}"
 
         arrow = f"{fmt(self.baseline)} -> {fmt(self.candidate)} {self.unit}"
-        if self.change_pct is None:
-            change = ""
-        else:
+        if self.change_pct is not None:
             change = f"  ({self.change_pct:+.1f}%)"
+        elif self.baseline == 0 and self.candidate is not None:
+            change = "  (from zero)"
+        else:
+            change = ""
         verdict = "  REGRESSION" if self.regressed else ""
         note = f"  [{self.note}]" if self.note else ""
         return f"  {self.name:<24} {arrow}{change}{verdict}{note}"
@@ -88,12 +99,25 @@ class CompareResult:
 
 
 def _signed_change_pct(baseline: float, candidate: float,
-                       direction: str) -> float:
-    """Percent change where negative always means 'got worse'."""
+                       direction: str) -> float | None:
+    """Percent change where negative always means 'got worse'; ``None``
+    for a move away from zero, which no percentage describes."""
     if baseline == 0:
-        return 0.0
+        return 0.0 if candidate == 0 else None
     raw = (candidate - baseline) / abs(baseline) * 100.0
     return raw if direction == "higher" else -raw
+
+
+def _baseline_spread(base_metric: Metric,
+                     cand_metric: Metric) -> float | None:
+    """The baseline samples' interquartile range, or ``None`` unless both
+    sides carry enough samples for the spread rule."""
+    if min(len(base_metric.samples),
+           len(cand_metric.samples)) < MIN_SPREAD_SAMPLES:
+        return None
+    q1, _, q3 = statistics.quantiles(base_metric.samples, n=4,
+                                     method="inclusive")
+    return q3 - q1
 
 
 def compare_bench(
@@ -170,10 +194,19 @@ def _delta(base_metric: Metric, cand_metric: Metric | None,
             candidate=cand_metric.value, change_pct=None, regressed=False,
             note="baseline value-less",
         )
-    change = _signed_change_pct(base_metric.value, cand_metric.value,
-                                base_metric.direction)
+    base, cand = base_metric.value, cand_metric.value
+    change = _signed_change_pct(base, cand, base_metric.direction)
+    worse_by = (base - cand if base_metric.direction == "higher"
+                else cand - base)
+    regressed = (worse_by > 0 if change is None
+                 else change < -max_regression_pct)
+    note = ""
+    spread = _baseline_spread(base_metric, cand_metric)
+    if regressed and spread is not None and worse_by <= spread:
+        regressed = False
+        note = f"within baseline IQR {spread:,.4g}"
     return MetricDelta(
         name=name, unit=base_metric.unit, direction=base_metric.direction,
-        baseline=base_metric.value, candidate=cand_metric.value,
-        change_pct=change, regressed=change < -max_regression_pct,
+        baseline=base, candidate=cand, change_pct=change,
+        regressed=regressed, note=note,
     )

@@ -12,9 +12,8 @@ kept for forensics but nothing downstream may trust it).
   is dominated by timer quantization and setup cost, not the workload.
 * :func:`check_nonzero_work` — zero-work detection: the obs counters (or
   completed-request tallies) must prove the measured code actually ran.
-* :func:`check_absent` — the inverse: a warm-cache phase must prove the
-  *expensive* path did **not** run, or "cache throughput" is re-simulation
-  in disguise.
+* :func:`check_absent` — the inverse: what must not happen (a failed
+  operation in a benchmark run) must have a count of exactly 0.
 * :func:`check_counts_match` — a load generator's client-side tally must
   reconcile with the daemon's own ``/metrics`` deltas.
 * :func:`check_alive` — a dead server can never appear as a throughput
@@ -25,10 +24,10 @@ from __future__ import annotations
 
 from repro.bench.result import GuardCheck
 
-#: Below this measured window, rates are considered timer noise.  The
-#: paper-scale cells take O(100ms..s) even at reduced scale, so a healthy
-#: iteration clears this easily; a misconfigured one (empty work set,
-#: accidental cache hit in a cold phase) does not.
+#: Below this measured window, rates are considered timer noise.  A
+#: healthy load window lasts seconds and clears this easily; a
+#: misconfigured one (zero duration, a daemon that answers nothing) does
+#: not.
 DEFAULT_MIN_ELAPSED_S = 0.05
 
 
@@ -54,9 +53,9 @@ def check_nonzero_work(amount: int | float, what: str,
 
 
 def check_absent(amount: int | float, what: str,
-                 name: str = "no_hidden_work") -> GuardCheck:
-    """The expensive path must NOT have run (warm phases): ``amount`` of
-    ``what`` must be exactly 0."""
+                 name: str = "no_failed_ops") -> GuardCheck:
+    """What must not happen did not: ``amount`` of ``what`` must be
+    exactly 0."""
     return GuardCheck(
         name=name,
         passed=amount == 0,

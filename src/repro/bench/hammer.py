@@ -20,8 +20,9 @@ happened rather than what the operator hoped:
   quantiles for the same window, keeping both clocks honest.
 
 The result is the same guarded :class:`~repro.bench.result.BenchResult`
-document ``bench run`` produces (``kind="hammer"``), so ``bench compare``
-gates serve-path regressions exactly like pipeline regressions.
+document ``bench import`` writes for perfbench runs (``kind="hammer"``),
+so ``bench compare`` gates serve-path regressions exactly like pipeline
+regressions.
 """
 
 from __future__ import annotations

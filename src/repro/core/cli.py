@@ -120,7 +120,7 @@ def _parse_size(text: str) -> int:
 
 
 def _add_cache_budget_args(parser: argparse.ArgumentParser) -> None:
-    """The cache budget knobs shared by run/table/sweep/serve/bench."""
+    """The cache budget knobs shared by run/table/sweep/serve."""
     parser.add_argument(
         "--cache-max-bytes", metavar="SIZE", type=_parse_size, default=None,
         help="bound the disk cache to SIZE bytes (accepts k/m/g suffixes); "
@@ -807,11 +807,11 @@ def main(argv: list[str] | None = None) -> int:
     pd.add_argument("--scale", type=float, default=0.01)
     pd.set_defaults(func=_cmd_disasm)
 
-    # bench run / bench compare / hammer live in repro.bench.cli; parser
+    # bench import / bench compare / hammer live in repro.bench.cli; parser
     # registration is cheap, the heavy imports stay inside the commands.
     from repro.bench.cli import register_parsers as _register_bench
 
-    _register_bench(sub, _add_obs_args, _add_cache_budget_args)
+    _register_bench(sub, _add_obs_args)
 
     args = parser.parse_args(argv)
     logger = setup_cli_logging(verbose=args.verbose, quiet=args.quiet)

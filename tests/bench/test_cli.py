@@ -5,42 +5,6 @@ import json
 from repro.bench.result import BenchResult, Metric, save_bench
 from repro.core.cli import main
 
-FAST_ARGS = ["--workloads", "latency_biased", "--methods", "classic",
-             "--scale", "0.02", "--repeats", "1", "--iterations", "1",
-             "--warmup", "1", "--min-elapsed", "0.0001"]
-
-
-def test_bench_run_writes_document_and_exits_zero(tmp_path, capsys):
-    code = main(["bench", "run", "table1", *FAST_ARGS,
-                 "--out", str(tmp_path), "-q"])
-    assert code == 0
-    document = json.loads((tmp_path / "BENCH_table1.json").read_text())
-    assert document["status"] == "ok"
-    assert document["bench_schema_version"] == 1
-    out = capsys.readouterr().out
-    assert "BENCH table1" in out and "cold.cells_per_s" in out
-
-
-def test_bench_run_json_output(capsys):
-    code = main(["bench", "run", "table1", *FAST_ARGS, "--json", "-q"])
-    assert code == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["area"] == "table1"
-    assert {m["name"] for m in document["metrics"]} >= {
-        "cold.cells_per_s", "warm.cells_per_s"}
-
-
-def test_bench_run_invalid_result_exits_one(tmp_path, capsys):
-    # Guard-tripping run (impossible min-elapsed): document still written,
-    # exit code says do-not-trust.
-    code = main(["bench", "run", "table1", "--workloads", "latency_biased",
-                 "--methods", "classic", "--scale", "0.02",
-                 "--iterations", "1", "--min-elapsed", "3600",
-                 "--out", str(tmp_path), "-q"])
-    assert code == 1
-    document = json.loads((tmp_path / "BENCH_table1.json").read_text())
-    assert document["status"] == "invalid"
-
 
 def _write(tmp_path, name, value):
     result = BenchResult(

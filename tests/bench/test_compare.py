@@ -1,5 +1,7 @@
 """bench compare: direction-aware gating and its trust rules."""
 
+import statistics
+
 import pytest
 
 from repro.bench.compare import compare_bench
@@ -101,3 +103,54 @@ def test_area_mismatch_and_bad_threshold_raise():
         compare_bench(_result(area="table1"), _result(area="serve"))
     with pytest.raises(BenchError, match="max_regression_pct"):
         compare_bench(_result(), _result(), max_regression_pct=-1)
+
+
+def test_worse_value_from_a_zero_baseline_regresses():
+    # A hammer document where half the requests failed and none had.
+    worse = compare_bench(_result(area="serve", kind="hammer", error_rate=0.0),
+                          _result(area="serve", kind="hammer", error_rate=0.5),
+                          max_regression_pct=20.0)
+    assert not worse.passed
+    delta = worse.regressions[0]
+    assert delta.change_pct is None
+    assert "0 -> 0.5 u  (from zero)  REGRESSION" in delta.render()
+    # Away from zero in the better direction, or staying at zero, passes.
+    assert compare_bench(_result(cells_per_s=0.0),
+                         _result(cells_per_s=5.0)).passed
+    same = compare_bench(_result(error_rate=0.0), _result(error_rate=0.0))
+    assert same.passed and same.deltas[0].change_pct == 0.0
+
+
+def _sampled(*samples):
+    """A throughput metric the way ``bench import`` records it."""
+    return BenchResult(area="tables", kind="bench", metrics=(
+        Metric(name="cold_cells_per_s", value=statistics.median(samples),
+               unit="cells/s", samples=samples),))
+
+
+def test_spread_rule_spares_a_move_inside_the_baseline_iqr():
+    # The median falls 100 -> 70, past the 25% threshold, but the
+    # baseline's own runs spread over an IQR of 80 (60..140).
+    comparison = compare_bench(_sampled(50.0, 60.0, 100.0, 140.0, 150.0),
+                               _sampled(65.0, 68.0, 70.0, 72.0, 75.0),
+                               max_regression_pct=25.0)
+    assert comparison.passed
+    assert comparison.deltas[0].change_pct == pytest.approx(-30.0)
+    assert "within baseline IQR 80" in comparison.render()
+
+
+def test_spread_rule_fails_a_move_past_threshold_and_iqr():
+    comparison = compare_bench(_sampled(96.0, 99.0, 100.0, 101.0, 104.0),
+                               _sampled(65.0, 68.0, 70.0, 72.0, 75.0),
+                               max_regression_pct=25.0)
+    assert not comparison.passed
+    assert comparison.regressions[0].name == "cold_cells_per_s"
+
+
+def test_spread_rule_needs_three_samples_on_each_side():
+    # Two wide baseline samples say nothing about spread: the threshold
+    # alone judges.
+    comparison = compare_bench(_sampled(50.0, 150.0),
+                               _sampled(65.0, 70.0, 75.0),
+                               max_regression_pct=25.0)
+    assert not comparison.passed
