@@ -14,8 +14,9 @@ Three layers, each bit-identical to the reference path:
   collector in :mod:`repro.pmu.fastpath`.
 * module-level warm caches — built programs and loop analyses are
   compilation artifacts (pure functions of workload name, scale, and seed),
-  cached across harnesses the way a JIT caches machine code.  Execution
-  *results* are never cached globally: a cold run re-simulates everything.
+  cached across harnesses the way a JIT caches machine code, as are the
+  interpreter's compiled block steps.  Execution *results* are never cached
+  globally: a cold run re-simulates everything.
 
 Deferred registers: when a loop carries a value the analysis cannot
 reconstruct (e.g. an iterated data-dependent division), the register file
@@ -43,6 +44,7 @@ from repro.cpu.uarch import Microarchitecture
 from repro.errors import ExecutionError
 from repro.isa.block import BlockKind
 from repro.isa.builder import NUM_REGISTERS
+from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.obs import count, span
 
@@ -77,7 +79,18 @@ class _ProgramArtifacts:
         self.entry = program.function(program.entry).entry.index
         self.hot = lanes.loop_header_candidates(program)
         self.analyses: dict[int, object] = {}
+        self._stores: bool | None = None
         self._program = weakref.ref(program)
+
+    def stores(self) -> bool:
+        """Whether the program writes its data segment (scanned on first
+        use: most programs never run a lane batch and never ask)."""
+        if self._stores is None:
+            program = self._program()
+            self._stores = any(ins.opcode is Opcode.STORE
+                               for block in program.blocks
+                               for ins in block.instructions)
+        return self._stores
 
     def analysis_for(self, header: int, regs: list):
         """A cached loop analysis valid at ``regs``, or None."""
@@ -188,7 +201,10 @@ def _fast_run(
     registers: list | None,
 ) -> InterpreterResult:
     art = _artifacts_for(program)
-    data = program.data.copy()
+    # Steps read and write a list; the lanes read an int64 array, which is
+    # the program's own segment unless a store may have changed the list.
+    data = program.data.tolist()
+    lane_data = program.data
     steps = art.steps
     kinds = art.kinds
     conts = art.conts
@@ -232,7 +248,9 @@ def _fast_run(
                 an = art.analysis_for(cur, regs)
                 if an is not None:
                     width = widths.get(cur, _BASE_LANES)
-                    batch = an.run_batch(regs, data, width)
+                    if art.stores():
+                        lane_data = np.array(data, dtype=np.int64)
+                    batch = an.run_batch(regs, lane_data, width)
                     if batch is None:
                         widths[cur] = _PROBE_LANES
                         z = zero_runs.get(cur, 0) + 1
@@ -300,7 +318,7 @@ def _fast_run(
     return InterpreterResult(
         block_seq=np.ascontiguousarray(block_seq, dtype=np.int32),
         registers=final_regs,
-        data=data,
+        data=np.array(data, dtype=np.int64),
     )
 
 

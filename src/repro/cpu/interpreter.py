@@ -4,7 +4,9 @@ The interpreter compiles every basic block to a small Python function
 (straight-line semantic updates plus a successor computation) and then drives
 those compiled steps from a tight loop. Timing-only instructions (FP ops,
 NOPs) are skipped during compilation — they matter only to the retirement
-model, which works from the static pools.
+model, which works from the static pools. A block is compiled when it first
+runs, and blocks with the same generated source share one compiled step.
+The data segment is a Python list while a program runs.
 
 The output is the *dynamic block sequence*: a ``numpy`` array of block indices
 in execution order. Everything downstream (instruction traces, reference
@@ -13,6 +15,7 @@ counts, PMU sampling) derives from it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +32,17 @@ from repro.obs import count, span
 DEFAULT_FUEL = 50_000_000
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+
+#: A compiled block: ``step(registers, data) -> successor index``.
+Step = Callable[[list[int], list[int]], int]
+
+#: Compiled block steps shared by every program, keyed by generated source
+#: and ICALL table. Sources name their successors and the data length, so
+#: equal keys mean equal behaviour. Cleared when full.
+_STEPS: dict[tuple[str, tuple[int, ...]], Step] = {}
+_STEPS_CAP = 16384
 
 
 @dataclass
@@ -101,16 +115,18 @@ def _semantic_lines(block: BasicBlock, dlen: int) -> list[str]:
             else:
                 lines.append(f"r[{d}] = 0")
         elif op is Opcode.LOAD or op is Opcode.LOADL or op is Opcode.LOADM:
-            lines.append(f"r[{d}] = int(data[(r[{s1}] + {imm or 0}) % {dlen}])")
+            lines.append(f"r[{d}] = data[(r[{s1}] + {imm or 0}) % {dlen}]")
         elif op is Opcode.STORE:
-            lines.append(f"data[(r[{s1}] + {imm or 0}) % {dlen}] = r[{s2}]")
+            # The segment is int64: refuse what it cannot hold at the store.
+            lines.append(f"v = r[{s2}]")
+            lines.append(f"if not {_I64_MIN} <= v <= {_I64_MAX}: "
+                         "raise OverflowError(f'STORE of {v} outside int64')")
+            lines.append(f"data[(r[{s1}] + {imm or 0}) % {dlen}] = v")
         # FADD/FMUL/FDIV/NOP: timing-only, no semantics.
     return lines
 
 
-def compile_block(
-    block: BasicBlock, program: Program, dlen: int
-) -> Callable[[list[int], np.ndarray], int]:
+def compile_block(block: BasicBlock, program: Program, dlen: int) -> Step:
     """Compile one basic block to ``step(r, data) -> successor_index``.
 
     Successor conventions: RET and HALT return ``-1`` (the driver consults
@@ -121,6 +137,7 @@ def compile_block(
     b = block.index
     kind = block.kind
     lines = _semantic_lines(block, dlen)
+    entries: tuple[int, ...] = ()
 
     if kind is BlockKind.FALL:
         lines.append(f"return {int(tables.fall_next[b])}")
@@ -146,20 +163,41 @@ def compile_block(
 
     body = "\n    ".join(lines)
     src = f"def _step(r, data):\n    {body}\n"
-    namespace: dict[str, object] = {}
-    if kind is BlockKind.ICALL:
-        namespace["_tbl"] = entries
-    exec(compile(src, f"<block {block.label}>", "exec"), namespace)
-    return namespace["_step"]  # type: ignore[return-value]
+    key = (src, entries)
+    step = _STEPS.get(key)
+    if step is None:
+        namespace: dict[str, object] = {"_tbl": entries}
+        exec(compile(src, f"<block {block.label}>", "exec"), namespace)
+        step = namespace["_step"]  # type: ignore[assignment]
+        if len(_STEPS) >= _STEPS_CAP:
+            _STEPS.clear()
+        _STEPS[key] = step
+    return step  # type: ignore[return-value]
 
 
-def compile_program(
-    program: Program, dlen: int
-) -> list[Callable[[list[int], np.ndarray], int]]:
-    """Compile every block of a finalized program."""
+def compile_program(program: Program, dlen: int) -> list[Step]:
+    """Steps for every block of a finalized program, compiled on first run.
+
+    Each entry starts as a stub that compiles its block when first called,
+    replaces itself in the returned list and runs the block, so blocks that
+    never run cost nothing. Stubs hold the program weakly: a step list kept
+    beside the program does not keep it alive.
+    """
     if not program.finalized:
         raise ProgramError("program must be finalized before compilation")
-    return [compile_block(b, program, dlen) for b in program.blocks]
+    ref = weakref.ref(program)
+    steps: list[Step] = []
+
+    def stub(b: int) -> Step:
+        def compile_on_first_run(r: list[int], data: list[int]) -> int:
+            prog = ref()  # alive: the caller running it holds it
+            step = compile_block(prog.blocks[b], prog, dlen)
+            steps[b] = step
+            return step(r, data)
+        return compile_on_first_run
+
+    steps.extend(stub(b) for b in range(program.num_blocks))
+    return steps
 
 
 def run_program(
@@ -192,9 +230,8 @@ def _run_program(
     registers: list[int] | None,
 ) -> InterpreterResult:
     program.finalize()
-    data = program.data.copy()
-    dlen = int(data.size)
-    steps = compile_program(program, dlen)
+    data = program.data.tolist()
+    steps = compile_program(program, len(data))
     kinds = [int(k) for k in program.tables.block_kind]
     conts = [int(c) for c in program.tables.fall_next]
 
@@ -240,5 +277,5 @@ def _run_program(
     return InterpreterResult(
         block_seq=np.asarray(seq, dtype=np.int32),
         registers=regs,
-        data=data,
+        data=np.array(data, dtype=np.int64),
     )

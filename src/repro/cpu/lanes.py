@@ -270,6 +270,9 @@ class _LoopAnalysis:
                 self._symbolic_pass()
         except _NotVectorizable:
             self.ok = False
+        # The fast engine caches analyses beside a weakly held program; a
+        # kept reference to it (or to the run's registers) would pin both.
+        del self.program, self._regs
 
     # -- helpers used by _Sym ---------------------------------------------
 

@@ -41,6 +41,11 @@ class FunctionBuilder:
         self._function = Function(name)
         self._current: BasicBlock | None = None
 
+    @property
+    def function(self) -> Function:
+        """The function emitted so far."""
+        return self._function
+
     # -- block management ---------------------------------------------------
 
     def block(self, label: str) -> "FunctionBuilder":
@@ -271,7 +276,7 @@ class ProgramBuilder:
         """Validate, lay out, and return the finished program."""
         program = Program(
             self.name,
-            functions=[fb._function for fb in self._functions],
+            functions=[fb.function for fb in self._functions],
             entry=self._entry,
             data=self.data,
         )

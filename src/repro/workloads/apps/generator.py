@@ -9,10 +9,11 @@ An application is a two-phase artifact:
 2. :func:`emit_program` lowers the plans to a synthetic-ISA program for a
    given outer-loop iteration count.
 
-:func:`build_app` calibrates: it emits a small pilot run to measure
-instructions per outer iteration, then emits the full program sized to the
-profile's target dynamic instruction count. The structure (and therefore the
-static CFG) is identical between pilot and final program.
+:func:`build_app` calibrates: it emits the work functions once, runs a
+pilot over them to measure instructions per outer iteration, then pairs the
+same functions with a ``main`` sized to the profile's target dynamic
+instruction count. Pilot and final program differ only in the outer count,
+so they share their static CFG and their compiled blocks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.cpu.interpreter import run_program
 from repro.isa.builder import FunctionBuilder, ProgramBuilder
+from repro.isa.function import Function
 from repro.isa.program import Program
 
 #: Register conventions (kept clear of the builder's scratch registers).
@@ -259,7 +260,7 @@ def _emit_work(f: FunctionBuilder, plan: WorkPlan) -> None:
             raise WorkloadError(f"unknown work kind {kind!r}")
 
 
-def _emit_function(b: ProgramBuilder, plan: FunctionPlan) -> None:
+def _emit_function(b: ProgramBuilder, plan: FunctionPlan) -> Function:
     f = b.function(plan.name)
     f.block("entry")
     loop_reg = _R_LOOP_BASE + min(plan.level, 13)
@@ -314,19 +315,22 @@ def _emit_function(b: ProgramBuilder, plan: FunctionPlan) -> None:
         f.block("fini")
     f.addi(_R_ACC, _R_ACC, 1)
     f.ret()
+    return f.function
 
 
-def emit_program(
-    structure: AppStructure, iterations: int
-) -> Program:
-    """Lower a structure to a runnable program with ``iterations`` outer
-    loop iterations."""
+def _emit_functions(structure: AppStructure) -> list[Function]:
+    """The work functions, in layout order after ``main``."""
+    b = ProgramBuilder(structure.profile.name)
+    return [_emit_function(b, plan) for plan in structure.functions]
+
+
+def _link(structure: AppStructure, iterations: int,
+          functions: list[Function]) -> Program:
+    """``functions`` behind a dispatch loop of ``iterations`` outer
+    iterations."""
     if iterations < 1:
         raise WorkloadError(f"iterations must be >= 1, got {iterations}")
-    profile = structure.profile
-    b = ProgramBuilder(profile.name, data=structure.data)
-
-    main = b.function("main")
+    main = ProgramBuilder(structure.profile.name).function("main")
     main.block("entry")
     main.li(_R_N, iterations)
     main.li(_R_IDX, 0)
@@ -347,11 +351,17 @@ def emit_program(
 
     main.block("exit")
     main.halt()
+    return Program(structure.profile.name,
+                   functions=[main.function, *functions],
+                   entry="main", data=structure.data).finalize()
 
-    for plan in structure.functions:
-        _emit_function(b, plan)
 
-    return b.build()
+def emit_program(
+    structure: AppStructure, iterations: int
+) -> Program:
+    """Lower a structure to a runnable program with ``iterations`` outer
+    loop iterations."""
+    return _link(structure, iterations, _emit_functions(structure))
 
 
 def build_app(
@@ -363,13 +373,17 @@ def build_app(
     program hits ``profile.target_instructions * scale`` regardless of the
     drawn structure.
     """
+    # Imported here so that importing the workloads (and ``repro.api``)
+    # loads no fast-engine module.
+    from repro.cpu.fastengine import fast_run_program
+
     structure = generate_structure(profile, seed)
-    pilot = emit_program(structure, _PILOT_ITERATIONS)
-    pilot_result = run_program(pilot)
+    functions = _emit_functions(structure)
+    pilot = _link(structure, _PILOT_ITERATIONS, functions)
     pilot_instr = int(
-        pilot.tables.block_sizes[pilot_result.block_seq].sum()
+        pilot.tables.block_sizes[fast_run_program(pilot).block_seq].sum()
     )
     per_iteration = max(1.0, pilot_instr / _PILOT_ITERATIONS)
     target = profile.target_instructions * scale
     iterations = max(1, int(round(target / per_iteration)))
-    return emit_program(structure, iterations)
+    return _link(structure, iterations, functions)

@@ -1,5 +1,10 @@
 """Smoke tests for the stable ``repro.api`` facade."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -16,6 +21,20 @@ def test_facade_is_exported_from_the_top_level_package():
         assert name in dir(repro)
     assert "run_table1" in repro.__all__
     assert repro.run_table1 is api.run_table1
+
+
+def test_api_import_loads_no_fast_engine_module():
+    """Importing the facade stays light: the fast engine, its lanes and the
+    fast PMU path load when a cell first runs. perfbench's ``setup_s`` times
+    this import in a fresh process."""
+    repo_src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(repo_src))
+    heavy = ("repro.cpu.fastengine", "repro.cpu.lanes", "repro.pmu.fastpath")
+    code = ("import sys; from repro import api; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_table1_smoke():

@@ -16,14 +16,17 @@ the reference engine exists to be compared against here.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import IVY_BRIDGE, MAGNY_COURS, WESTMERE, Machine, ProgramBuilder
 from repro.core.experiment import CellSpec, ExperimentConfig, Harness
+from repro.cpu import fastengine, interpreter, lanes
 from repro.cpu.engine import ReferenceEngine
 from repro.cpu.fastengine import FastEngine, fast_run_program
 from repro.cpu.interpreter import run_program
@@ -38,6 +41,8 @@ from repro.pmu.events import (
 from repro.pmu.overflow import overflow_thresholds
 from repro.pmu.periods import PeriodPolicy, Randomization
 from repro.pmu.sampler import Sampler, SamplingConfig
+
+from tests.conftest import build_counted_loop
 
 FUZZ_SEEDS = range(30)          # >= 25 randomized programs
 ALL_UARCHES = (WESTMERE, IVY_BRIDGE, MAGNY_COURS)
@@ -183,6 +188,113 @@ def test_fuzz_trace_statistics_identical(fuzz_programs):
         assert t_ref.num_instructions == t_fast.num_instructions
         assert np.array_equal(t_ref.taken_positions, t_fast.taken_positions)
         assert np.array_equal(t_ref.cumulative_uops, t_fast.cumulative_uops)
+
+
+def _store_then_laned_loop():
+    """Three outer passes each store their count (3, 2, 1) into cell 5,
+    then run a 3000-trip inner loop whose branch reads that cell: passes
+    storing >= 2 skip the work block.  The inner loop has no store, so the
+    lanes take it."""
+    b = ProgramBuilder("store_then_loop", data=np.zeros(64, dtype=np.int64))
+    f = b.function("main")
+    f.block("entry")
+    f.li(0, 3)
+    f.li(1, 0)
+    f.block("outer")
+    f.store(1, 0, 5)
+    f.li(2, 3000)
+    f.block("inner")
+    f.load(3, 1, 5)
+    f.bgei(3, 2, "skip")
+    f.block("work")
+    f.addi(4, 4, 1)
+    f.block("skip")
+    f.subi(2, 2, 1)
+    f.bnei(2, 0, "inner")
+    f.block("latch")
+    f.subi(0, 0, 1)
+    f.bnei(0, 0, "outer")
+    f.block("exit")
+    f.halt()
+    return b.build()
+
+
+def test_lanes_read_what_the_steps_stored(monkeypatch):
+    """Steps write a list; the lanes read an int64 array made from it before
+    each batch, so a loop after a store sees the stored value."""
+    seen: list = []
+    run_batch = lanes._LoopAnalysis.run_batch
+
+    def spy(self, regs, data, max_lanes):
+        seen.append((data, data.copy()))
+        return run_batch(self, regs, data, max_lanes)
+
+    monkeypatch.setattr(lanes._LoopAnalysis, "run_batch", spy)
+    program = _store_then_laned_loop()
+    ref = run_program(program)
+    fast = fast_run_program(program)
+    assert np.array_equal(ref.block_seq, fast.block_seq)
+    assert list(fast.registers) == list(ref.registers)
+    assert np.array_equal(ref.data, fast.data) and fast.data.dtype == np.int64
+    assert ref.registers[4] == 3000          # only the last pass did work
+    assert {int(copy[5]) for _, copy in seen} == {3, 2, 1}
+    assert all(data.dtype == np.int64 for data, _ in seen)
+
+    # Without a store the lanes read the program's own segment.
+    seen.clear()
+    plain = build_counted_loop(iterations=3000)
+    fast_run_program(plain)
+    assert seen and all(data is plain.data for data, _ in seen)
+
+
+@pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1])
+def test_store_outside_int64_raises_on_both_engines(value):
+    """The data segment is int64: a store it cannot hold fails at the store,
+    not at the end of the run, so a later overwrite cannot hide it."""
+    b = ProgramBuilder("wide_store", data=np.zeros(4, dtype=np.int64))
+    f = b.function("main")
+    f.block("entry")
+    f.li(1, value)
+    f.store(0, 1)
+    f.li(1, 0)
+    f.store(0, 1)                   # overwriting cannot hide the first
+    f.halt()
+    program = b.build()
+    for run in (run_program, fast_run_program):
+        with pytest.raises(OverflowError):
+            run(program)
+
+
+# -- compilation state ------------------------------------------------------
+
+
+def test_blocks_compile_on_first_run_only():
+    """After a fast run of an app, every block that never ran is still the
+    stub that would compile it."""
+    from repro.workloads.registry import get_workload
+
+    program = get_workload("omnetpp").build(scale=0.01)
+    ran = set(fast_run_program(program).block_seq.tolist())
+    steps = fastengine._ARTIFACTS[program].steps
+    never = [b for b in range(program.num_blocks) if b not in ran]
+    assert never and ran
+    assert all(steps[b].__name__ == "compile_on_first_run" for b in never)
+    assert any(steps[b].__name__ == "_step" for b in ran)
+
+
+@pytest.mark.parametrize("name", ["latency_biased", "omnetpp"])
+def test_artifacts_release_a_collected_program(name):
+    """Compiled steps, stubs and cached loop analyses hold no reference to
+    their program: once it is dropped, the weak artifact cache lets go."""
+    from repro.workloads.registry import get_workload
+
+    program = get_workload(name).build(scale=0.01)
+    fast_run_program(program)
+    assert program in fastengine._ARTIFACTS
+    alive = weakref.ref(program)
+    del program
+    gc.collect()
+    assert alive() is None
 
 
 # -- sampler equivalence ----------------------------------------------------
@@ -359,15 +471,17 @@ def test_threads_sharing_fast_engine_caches_match_serial():
     methods = ("classic", "precise_prime_rand", "lbr")
 
     def config(seed_base: int) -> ExperimentConfig:
-        # A scale no other test uses, so the threads race to fill the caches.
+        # A scale no other test uses, so the threads race to fill the caches
+        # (for mcf: the pilot build and the compile-on-first-run stubs).
         return ExperimentConfig(scale=0.017, repeats=2, seed_base=seed_base)
 
     def cells(harness: Harness) -> list:
-        return [harness.evaluate_cell(CellSpec("ivybridge", "memaccess", m))
-                for m in methods]
+        return [harness.evaluate_cell(CellSpec("ivybridge", workload, m))
+                for workload in ("memaccess", "mcf") for m in methods]
 
     serial = {base: cells(Harness(config(base), engine=ReferenceEngine()))
               for base in bases}
+    interpreter._STEPS.clear()          # the threads race the step memo too
     start = threading.Barrier(len(bases))
     threaded: dict[int, list] = {}
     failures: list[Exception] = []

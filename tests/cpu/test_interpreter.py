@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.isa.builder import NUM_REGISTERS, ProgramBuilder
-from repro.cpu.interpreter import run_program
+from repro.cpu.interpreter import compile_block, run_program
 
 from tests.conftest import build_branchy, build_call_pair, build_counted_loop
 
@@ -197,3 +197,61 @@ def test_deterministic_across_runs():
     a = run_program(program)
     b = run_program(program)
     assert (a.block_seq == b.block_seq).all()
+
+
+# -- the step memo -------------------------------------------------------------
+
+
+def _dispatch(callees: list[str], data_len: int = 4):
+    """main loads data[(r1 + 3) % data_len] and dispatches on it through
+    one ICALL over ``callees``; callee ``cb<i>`` sets r(10 + i)."""
+    b = ProgramBuilder("t", data=np.arange(data_len, dtype=np.int64))
+    f = b.function("main")
+    f.block("entry")
+    f.li(1, 1)
+    f.block("head")
+    f.load(0, 1, 3)
+    f.icall(0, callees)
+    f.block("exit")
+    f.halt()
+    for i in range(3):
+        g = b.function(f"cb{i}")
+        g.block("body")
+        g.li(10 + i, 1)
+        g.ret()
+    return b.build()
+
+
+def _head_step(program):
+    dlen = int(program.data.size)
+    return compile_block(program.block("main.head"), program, dlen)
+
+
+def test_equal_blocks_share_one_compiled_step():
+    assert _head_step(_dispatch(["cb0", "cb1"])) \
+        is _head_step(_dispatch(["cb0", "cb1"]))
+
+
+def test_step_memo_keeps_icall_tables_apart():
+    """Both heads compile to the same source; only their tables differ."""
+    forward = _dispatch(["cb0", "cb1"])
+    backward = _dispatch(["cb1", "cb0"])
+    assert _head_step(forward) is not _head_step(backward)
+    regs = [0] * NUM_REGISTERS
+    regs[1] = 1                     # selector data[0] == 0
+    assert _head_step(forward)(regs, [0, 1, 2, 3]) \
+        == forward.function("cb0").entry.index
+    assert _head_step(backward)(regs, [0, 1, 2, 3]) \
+        == backward.function("cb1").entry.index
+    assert run_program(forward).registers[10:12] == [1, 0]
+    assert run_program(backward).registers[10:12] == [0, 1]
+
+
+def test_step_memo_keeps_data_lengths_apart():
+    """(r1 + 3) % 4 reads cell 0 and (r1 + 3) % 5 cell 4: the data length
+    is part of the compiled step."""
+    short = _dispatch(["cb0", "cb1", "cb2"], data_len=4)
+    long = _dispatch(["cb0", "cb1", "cb2"], data_len=5)
+    assert _head_step(short) is not _head_step(long)
+    assert run_program(short).registers[10:13] == [1, 0, 0]    # 0 % 3
+    assert run_program(long).registers[10:13] == [0, 1, 0]     # 4 % 3

@@ -1,11 +1,18 @@
 """Unit tests for the synthetic application generator and profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.cpu.fastengine as fastengine
+import repro.cpu.interpreter as interpreter
+import repro.workloads.apps.generator as generator
 from repro.errors import WorkloadError
 from repro.cpu.interpreter import run_program
 from repro.cpu.trace import Trace
+from repro.isa.opcodes import Opcode
+from repro.isa.program import StaticTables
 from repro.workloads.apps.generator import (
     AppProfile,
     build_app,
@@ -63,6 +70,35 @@ def test_calibration_hits_target():
     trace = Trace(program, run_program(program).block_seq)
     target = _TINY.target_instructions
     assert 0.5 * target < trace.num_instructions < 2.0 * target
+
+
+@pytest.mark.parametrize("name", sorted(APP_PROFILES))
+def test_build_app_emits_once_and_never_runs_the_oracle(name, monkeypatch):
+    """The pilot runs on the fast engine over the final program's own work
+    functions; the built program equals a fresh emission at its outer count."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("build_app ran the reference interpreter")
+
+    monkeypatch.setattr(interpreter, "run_program", refuse)
+    monkeypatch.setattr(interpreter, "_run_program", refuse)
+    monkeypatch.setattr(fastengine, "_run_program", refuse)
+    assert not hasattr(generator, "run_program")
+    profile = APP_PROFILES[name]
+    structure = generate_structure(profile, seed=1234)
+    for scale in (0.05, 1.0):
+        program = build_app(profile, scale=scale, seed=1234)
+        outer = program.function("main").entry.instructions[0]
+        assert outer.opcode is Opcode.LI and outer.dst == 0
+        expected = emit_program(structure, outer.imm)
+        for field in dataclasses.fields(StaticTables):
+            assert np.array_equal(getattr(program.tables, field.name),
+                                  getattr(expected.tables, field.name)), \
+                (scale, field.name)
+        assert [b.label for b in program.blocks] \
+            == [b.label for b in expected.blocks]
+        assert [i for b in program.blocks for i in b.instructions] \
+            == [i for b in expected.blocks for i in b.instructions]
+        assert np.array_equal(program.data, expected.data)
 
 
 def test_zipf_dispatch_concentrates_hotness():
