@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import (
+    BRANCHES,
     CONDITIONAL_BRANCHES,
     IMM_BRANCHES,
     Opcode,
@@ -61,7 +62,7 @@ class Instruction:
     @property
     def is_branch(self) -> bool:
         """True for any control-transfer instruction."""
-        return self.op_info.is_branch
+        return self.opcode in BRANCHES
 
     @property
     def is_conditional(self) -> bool:

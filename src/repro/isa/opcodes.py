@@ -147,6 +147,9 @@ IMM_BRANCHES = frozenset(
 #: All conditional branch opcodes.
 CONDITIONAL_BRANCHES = REG_BRANCHES | IMM_BRANCHES
 
+#: All control-transfer opcodes (``OpcodeInfo.is_branch``).
+BRANCHES = frozenset(op for op, inf in OPCODE_INFO.items() if inf.is_branch)
+
 
 def info(op: Opcode) -> OpcodeInfo:
     """Return the :class:`OpcodeInfo` for ``op``."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ProgramError
 from repro.isa.block import BasicBlock, BlockKind
 from repro.isa.function import Function
-from repro.isa.opcodes import info
+from repro.isa.opcodes import OPCODE_INFO, Opcode
 
 #: Functions are placed at addresses aligned to this boundary, mirroring how
 #: linkers align code sections. The gaps also make cross-function
@@ -25,6 +25,20 @@ FUNCTION_ALIGNMENT = 0x100
 
 #: Base address of the first function.
 BASE_ADDRESS = 0x40_0000
+
+
+def _by_opcode(field: str, dtype) -> np.ndarray:
+    """``OpcodeInfo.<field>`` of every opcode, indexed by opcode number."""
+    table = np.zeros(max(Opcode) + 1, dtype=dtype)
+    for op, inf in OPCODE_INFO.items():
+        table[op] = getattr(inf, field)
+    return table
+
+
+#: The per-instruction pool values of each opcode.
+_LATCLASS = _by_opcode("latency", np.int8)
+_UOPS = _by_opcode("uops", np.int16)
+_IS_BRANCH = _by_opcode("is_branch", bool)
 
 
 @dataclass
@@ -104,11 +118,58 @@ class Program:
     def finalized(self) -> bool:
         return self._finalized
 
+    def derive(self, function: Function) -> "Program":
+        """A finalized copy of this program with ``function`` in place of
+        the function of the same name.
+
+        ``function`` may differ from the one it replaces only in operands
+        (registers and immediates). Its block labels, opcodes, instruction
+        sizes, branch targets and ICALL tables must be the same, so the
+        copy reuses this program's index, validation and static tables
+        instead of laying the program out again.
+        """
+        self._require_finalized()
+        fid = self._func_ids.get(function.name)
+        if fid is None:
+            raise ProgramError(f"no function named {function.name!r}")
+        old = self.functions[fid]
+        if len(function.blocks) != len(old.blocks):
+            raise ProgramError(
+                f"function {function.name!r} has {len(function.blocks)} "
+                f"blocks, not {len(old.blocks)}"
+            )
+        for was, new in zip(old.blocks, function.blocks):
+            if (new.label, new.function, new.size) \
+                    != (was.label, was.function, was.size) or any(
+                        (a.opcode, a.target, a.itable, a.size)
+                        != (b.opcode, b.target, b.itable, b.size)
+                        for a, b in zip(was.instructions, new.instructions)):
+                raise ProgramError(
+                    f"block {new.label!r} differs from {was.label!r} "
+                    "in more than operands"
+                )
+        derived = Program(self.name, self.functions, self.entry, self.data)
+        derived.functions[fid] = function
+        derived._blocks = list(self._blocks)
+        derived._label_to_block = dict(self._label_to_block)
+        for was, new in zip(old.blocks, function.blocks):
+            new.index = was.index
+            derived._blocks[new.index] = new
+            derived._label_to_block[new.label] = new
+            for a, b in zip(was.instructions, new.instructions):
+                b.address = a.address
+        derived._func_ids = self._func_ids
+        derived._tables = self._tables
+        derived._finalized = True
+        return derived
+
     def _index(self) -> None:
         self._blocks = []
         self._label_to_block = {}
         self._func_ids = {}
         for fid, func in enumerate(self.functions):
+            if func.name in self._func_ids:
+                raise ProgramError(f"duplicate function {func.name!r}")
             self._func_ids[func.name] = fid
             for block in func.blocks:
                 if block.label in self._label_to_block:
@@ -163,7 +224,7 @@ class Program:
                     )
             elif kind is BlockKind.CALL:
                 assert term is not None
-                if term.target not in {f.name for f in self.functions}:
+                if term.target not in self._func_ids:
                     raise ProgramError(
                         f"block {block.label!r}: unknown callee {term.target!r}"
                     )
@@ -173,59 +234,49 @@ class Program:
                     raise ProgramError(
                         f"block {block.label!r}: ICALL with empty table"
                     )
-                names = {f.name for f in self.functions}
                 for callee in term.itable:
-                    if callee not in names:
+                    if callee not in self._func_ids:
                         raise ProgramError(
                             f"block {block.label!r}: unknown indirect callee "
                             f"{callee!r}"
                         )
 
     def _layout(self) -> None:
+        # Blocks are indexed in this traversal order, so per-block values
+        # are appended at their index.
         nblocks = len(self._blocks)
-        total_instrs = sum(b.size for b in self._blocks)
-
-        block_sizes = np.zeros(nblocks, dtype=np.int32)
-        block_start = np.zeros(nblocks, dtype=np.int64)
-        block_end = np.zeros(nblocks, dtype=np.int64)
-        block_kind = np.zeros(nblocks, dtype=np.int8)
-        block_func = np.zeros(nblocks, dtype=np.int32)
-        fall_next = np.full(nblocks, -1, dtype=np.int32)
-        taken_target = np.full(nblocks, -1, dtype=np.int32)
-        instr_offset = np.zeros(nblocks, dtype=np.int64)
-
-        pool_addr = np.zeros(total_instrs, dtype=np.int64)
-        pool_latclass = np.zeros(total_instrs, dtype=np.int8)
-        pool_uops = np.zeros(total_instrs, dtype=np.int16)
-        pool_is_branch = np.zeros(total_instrs, dtype=bool)
+        block_sizes: list[int] = []
+        block_start: list[int] = []
+        block_end: list[int] = []
+        block_kind: list[int] = []
+        block_func: list[int] = []
+        instr_offset: list[int] = []
+        fall_next = [-1] * nblocks
+        taken_target = [-1] * nblocks
+        pool_addr: list[int] = []
+        pool_opcode: list[int] = []
 
         addr = BASE_ADDRESS
-        pool_pos = 0
-        for func in self.functions:
+        for fid, func in enumerate(self.functions):
             # Align each function start.
             rem = addr % FUNCTION_ALIGNMENT
             if rem:
                 addr += FUNCTION_ALIGNMENT - rem
-            fid = self._func_ids[func.name]
             for pos, block in enumerate(func.blocks):
                 b = block.index
-                block_sizes[b] = block.size
-                block_kind[b] = int(block.kind)
-                block_func[b] = fid
-                instr_offset[b] = pool_pos
-                block_start[b] = addr
+                kind = block.kind
+                block_sizes.append(block.size)
+                block_kind.append(kind)
+                block_func.append(fid)
+                instr_offset.append(len(pool_addr))
+                block_start.append(addr)
                 for instr in block.instructions:
                     instr.address = addr
-                    inf = info(instr.opcode)
-                    pool_addr[pool_pos] = addr
-                    pool_latclass[pool_pos] = int(inf.latency)
-                    pool_uops[pool_pos] = inf.uops
-                    pool_is_branch[pool_pos] = inf.is_branch
+                    pool_addr.append(addr)
+                    pool_opcode.append(instr.opcode)
                     addr += instr.size
-                    pool_pos += 1
-                block_end[b] = addr
+                block_end.append(addr)
 
-                kind = block.kind
                 if kind in (BlockKind.FALL, BlockKind.COND, BlockKind.CALL,
                             BlockKind.ICALL):
                     fall_next[b] = func.blocks[pos + 1].index
@@ -239,19 +290,20 @@ class Program:
                     callee = self.function(term.target)
                     taken_target[b] = callee.entry.index
 
+        opcodes = np.array(pool_opcode, dtype=np.intp)
         self._tables = StaticTables(
-            block_sizes=block_sizes,
-            block_start_addr=block_start,
-            block_end_addr=block_end,
-            block_kind=block_kind,
-            block_func=block_func,
-            fall_next=fall_next,
-            taken_target=taken_target,
-            instr_offset=instr_offset,
-            pool_addr=pool_addr,
-            pool_latclass=pool_latclass,
-            pool_uops=pool_uops,
-            pool_is_branch=pool_is_branch,
+            block_sizes=np.array(block_sizes, dtype=np.int32),
+            block_start_addr=np.array(block_start, dtype=np.int64),
+            block_end_addr=np.array(block_end, dtype=np.int64),
+            block_kind=np.array(block_kind, dtype=np.int8),
+            block_func=np.array(block_func, dtype=np.int32),
+            fall_next=np.array(fall_next, dtype=np.int32),
+            taken_target=np.array(taken_target, dtype=np.int32),
+            instr_offset=np.array(instr_offset, dtype=np.int64),
+            pool_addr=np.array(pool_addr, dtype=np.int64),
+            pool_latclass=_LATCLASS[opcodes],
+            pool_uops=_UOPS[opcodes],
+            pool_is_branch=_IS_BRANCH[opcodes],
         )
 
     # -- queries -----------------------------------------------------------
@@ -285,7 +337,10 @@ class Program:
         return int(self.tables.pool_addr.size)
 
     def function(self, name: str) -> Function:
-        """Look a function up by name."""
+        """Look a function up by name (through the index once built)."""
+        fid = self._func_ids.get(name)
+        if fid is not None:
+            return self.functions[fid]
         for func in self.functions:
             if func.name == name:
                 return func

@@ -10,10 +10,11 @@ An application is a two-phase artifact:
    given outer-loop iteration count.
 
 :func:`build_app` calibrates: it emits the work functions once, runs a
-pilot over them to measure instructions per outer iteration, then pairs the
-same functions with a ``main`` sized to the profile's target dynamic
-instruction count. Pilot and final program differ only in the outer count,
-so they share their static CFG and their compiled blocks.
+pilot over them to measure instructions per outer iteration, then derives
+the final program from the pilot with a ``main`` sized to the profile's
+target dynamic instruction count. Pilot and final program differ only in
+the outer count, so they share their functions, their layout and their
+compiled blocks.
 """
 
 from __future__ import annotations
@@ -132,14 +133,21 @@ class AppStructure:
     data: np.ndarray
 
 
-def _draw_work(profile: AppProfile, rng: np.random.Generator) -> WorkPlan:
-    lo, hi = profile.block_size
-    size = int(rng.integers(lo, hi + 1))
+def _mix_weights(profile: AppProfile) -> tuple[list[str], np.ndarray]:
+    """The profile's work kinds and their normalized weights."""
     names = list(profile.mix)
     weights = np.asarray([profile.mix[k] for k in names], dtype=np.float64)
-    weights /= weights.sum()
-    kinds = [str(k) for k in rng.choice(names, size=size, p=weights)]
-    return WorkPlan(kinds=kinds)
+    return names, weights / weights.sum()
+
+
+def _draw_work(profile: AppProfile, rng: np.random.Generator,
+               mix: tuple[list[str], np.ndarray]) -> WorkPlan:
+    lo, hi = profile.block_size
+    size = int(rng.integers(lo, hi + 1))
+    names, weights = mix
+    # Drawing indices takes the same random numbers as drawing the names.
+    return WorkPlan(kinds=[names[i] for i in
+                           rng.choice(len(names), size=size, p=weights)])
 
 
 def generate_structure(
@@ -147,6 +155,7 @@ def generate_structure(
 ) -> AppStructure:
     """Draw the static shape of an application (deterministic in seed)."""
     rng = np.random.default_rng(seed)
+    mix = _mix_weights(profile)
 
     # Partition functions across levels: level 0 is the dispatch surface,
     # deeper levels shrink geometrically.
@@ -177,13 +186,13 @@ def generate_structure(
         deeper = by_level[level + 1] if level + 1 < len(by_level) else []
         for name in names:
             plan = FunctionPlan(name=name, level=level)
-            plan.segments.append(WorkPlan(kinds=_draw_work(profile, rng).kinds))
+            plan.segments.append(_draw_work(profile, rng, mix))
             t_lo, t_hi = profile.tests_per_function
             for _ in range(int(rng.integers(t_lo, t_hi + 1))):
                 plan.segments.append(TestPlan(
                     data_offset=int(rng.integers(0, _DATA_SIZE)),
                     threshold=int(rng.integers(*profile.taken_bias)),
-                    work=_draw_work(profile, rng),
+                    work=_draw_work(profile, rng, mix),
                 ))
             if deeper and rng.random() < profile.p_call:
                 plan.segments.append(CallPlan(
@@ -191,14 +200,14 @@ def generate_structure(
                 ))
             if rng.random() < profile.p_loop:
                 lo, hi = profile.loop_trips
-                body: list[object] = [_draw_work(profile, rng)]
+                body: list[object] = [_draw_work(profile, rng, mix)]
                 for _ in range(int(rng.integers(0, profile.loop_body_tests + 1))):
                     body.append(TestPlan(
                         data_offset=int(rng.integers(0, _DATA_SIZE)),
                         threshold=int(rng.integers(*profile.taken_bias)),
-                        work=_draw_work(profile, rng),
+                        work=_draw_work(profile, rng, mix),
                     ))
-                    body.append(_draw_work(profile, rng))
+                    body.append(_draw_work(profile, rng, mix))
                 plan.segments.append(LoopPlan(
                     trips=int(rng.integers(lo, hi + 1)),
                     body=body,
@@ -208,7 +217,7 @@ def generate_structure(
                 plan.segments.append(CallPlan(
                     callee=str(rng.choice(deeper))
                 ))
-            plan.segments.append(WorkPlan(kinds=_draw_work(profile, rng).kinds))
+            plan.segments.append(_draw_work(profile, rng, mix))
             rng.shuffle(plan.segments)  # vary segment order per function
             functions.append(plan)
 
@@ -324,10 +333,9 @@ def _emit_functions(structure: AppStructure) -> list[Function]:
     return [_emit_function(b, plan) for plan in structure.functions]
 
 
-def _link(structure: AppStructure, iterations: int,
-          functions: list[Function]) -> Program:
-    """``functions`` behind a dispatch loop of ``iterations`` outer
-    iterations."""
+def _emit_main(structure: AppStructure, iterations: int) -> Function:
+    """The dispatch loop: ``iterations`` outer iterations, each calling
+    one work function through the dispatch table."""
     if iterations < 1:
         raise WorkloadError(f"iterations must be >= 1, got {iterations}")
     main = ProgramBuilder(structure.profile.name).function("main")
@@ -351,8 +359,15 @@ def _link(structure: AppStructure, iterations: int,
 
     main.block("exit")
     main.halt()
-    return Program(structure.profile.name,
-                   functions=[main.function, *functions],
+    return main.function
+
+
+def _link(structure: AppStructure, iterations: int,
+          functions: list[Function]) -> Program:
+    """``functions`` behind a dispatch loop of ``iterations`` outer
+    iterations."""
+    main = _emit_main(structure, iterations)
+    return Program(structure.profile.name, functions=[main, *functions],
                    entry="main", data=structure.data).finalize()
 
 
@@ -386,4 +401,4 @@ def build_app(
     per_iteration = max(1.0, pilot_instr / _PILOT_ITERATIONS)
     target = profile.target_instructions * scale
     iterations = max(1, int(round(target / per_iteration)))
-    return _link(structure, iterations, functions)
+    return pilot.derive(_emit_main(structure, iterations))

@@ -481,7 +481,8 @@ def test_threads_sharing_fast_engine_caches_match_serial():
 
     serial = {base: cells(Harness(config(base), engine=ReferenceEngine()))
               for base in bases}
-    interpreter._STEPS.clear()          # the threads race the step memo too
+    interpreter._STEPS.clear()          # the threads race the step memo
+    interpreter._SHAPES.clear()         # and the shape memo too
     start = threading.Barrier(len(bases))
     threaded: dict[int, list] = {}
     failures: list[Exception] = []

@@ -1,10 +1,20 @@
 """Unit tests for the block-compiling interpreter."""
 
+import dis
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cpu import interpreter
 from repro.errors import ExecutionError
+from repro.isa.block import BasicBlock, BlockKind
 from repro.isa.builder import NUM_REGISTERS, ProgramBuilder
+from repro.isa.function import Function
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.cpu.interpreter import compile_block, run_program
 
 from tests.conftest import build_branchy, build_call_pair, build_counted_loop
@@ -255,3 +265,253 @@ def test_step_memo_keeps_data_lengths_apart():
     assert _head_step(short) is not _head_step(long)
     assert run_program(short).registers[10:13] == [1, 0, 0]    # 0 % 3
     assert run_program(long).registers[10:13] == [0, 1, 0]     # 4 % 3
+
+
+# -- steps instantiated from shape templates -----------------------------------
+#
+# Both drivers run the steps compile_block makes, so the engine differential
+# cannot see a wrong one. The oracle here compiles each block straight from
+# its own source, with every operand written as a literal: the per-block
+# code generation the shape templates replaced, kept verbatim.
+
+_U64 = 0xFFFF_FFFF_FFFF_FFFF
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+
+
+def _cond_expr(instr, taken: int, fall: int) -> str:
+    s1 = f"r[{instr.src1}]"
+    if instr.uses_immediate_compare:
+        rhs = repr(instr.imm)
+    else:
+        rhs = f"r[{instr.src2}]"
+    ops = {
+        Opcode.BEQ: "==", Opcode.BEQI: "==",
+        Opcode.BNE: "!=", Opcode.BNEI: "!=",
+        Opcode.BLT: "<", Opcode.BLTI: "<",
+        Opcode.BGE: ">=", Opcode.BGEI: ">=",
+    }
+    return f"return {taken} if {s1} {ops[instr.opcode]} {rhs} else {fall}"
+
+
+def _semantic_lines(block, dlen: int) -> list[str]:
+    lines: list[str] = []
+    body = block.instructions[:-1] if block.terminator is not None \
+        else block.instructions
+    for ins in body:
+        op = ins.opcode
+        d, s1, s2, imm = ins.dst, ins.src1, ins.src2, ins.imm
+        if op is Opcode.LI:
+            lines.append(f"r[{d}] = {imm}")
+        elif op is Opcode.MOV:
+            lines.append(f"r[{d}] = r[{s1}]")
+        elif op is Opcode.ADD:
+            lines.append(f"r[{d}] = r[{s1}] + r[{s2}]")
+        elif op is Opcode.ADDI:
+            lines.append(f"r[{d}] = r[{s1}] + {imm}")
+        elif op is Opcode.SUB:
+            lines.append(f"r[{d}] = r[{s1}] - r[{s2}]")
+        elif op is Opcode.SUBI:
+            lines.append(f"r[{d}] = r[{s1}] - {imm}")
+        elif op is Opcode.MUL:
+            lines.append(f"r[{d}] = (r[{s1}] * r[{s2}]) & {_U64}")
+        elif op is Opcode.DIV:
+            lines.append(f"r[{d}] = r[{s1}] // r[{s2}] if r[{s2}] else 0")
+        elif op is Opcode.AND:
+            lines.append(f"r[{d}] = r[{s1}] & r[{s2}]")
+        elif op is Opcode.OR:
+            lines.append(f"r[{d}] = r[{s1}] | r[{s2}]")
+        elif op is Opcode.XOR:
+            lines.append(f"r[{d}] = r[{s1}] ^ r[{s2}]")
+        elif op is Opcode.SHL:
+            lines.append(f"r[{d}] = (r[{s1}] << {ins.imm % 64 if imm else 0}) & {_U64}")
+        elif op is Opcode.SHR:
+            lines.append(f"r[{d}] = r[{s1}] >> {ins.imm % 64 if imm else 0}")
+        elif op is Opcode.MODI:
+            div = imm if imm else 0
+            if div:
+                lines.append(f"r[{d}] = r[{s1}] % {div}")
+            else:
+                lines.append(f"r[{d}] = 0")
+        elif op is Opcode.LOAD or op is Opcode.LOADL or op is Opcode.LOADM:
+            lines.append(f"r[{d}] = data[(r[{s1}] + {imm or 0}) % {dlen}]")
+        elif op is Opcode.STORE:
+            lines.append(f"v = r[{s2}]")
+            lines.append(f"if not {_I64_MIN} <= v <= {_I64_MAX}: "
+                         "raise OverflowError(f'STORE of {v} outside int64')")
+            lines.append(f"data[(r[{s1}] + {imm or 0}) % {dlen}] = v")
+    return lines
+
+
+def _literal_step(block, program, dlen: int):
+    """``block`` compiled from its own source, operands as literals."""
+    tables = program.tables
+    b = block.index
+    kind = block.kind
+    lines = _semantic_lines(block, dlen)
+    if kind is BlockKind.FALL:
+        lines.append(f"return {int(tables.fall_next[b])}")
+    elif kind is BlockKind.JMP or kind is BlockKind.CALL:
+        lines.append(f"return {int(tables.taken_target[b])}")
+    elif kind is BlockKind.COND:
+        lines.append(_cond_expr(block.terminator, int(tables.taken_target[b]),
+                                int(tables.fall_next[b])))
+    elif kind is BlockKind.ICALL:
+        term = block.terminator
+        entries = tuple(program.function(name).entry.index
+                        for name in term.itable)
+        lines.append(f"return {entries!r}[r[{term.src1}] % {len(entries)}]")
+    else:
+        lines.append("return -1")
+    namespace: dict = {}
+    exec(compile("def _step(r, data):\n    " + "\n    ".join(lines) + "\n",
+                 "<literal block>", "exec"), namespace)
+    return namespace["_step"]
+
+
+def _outcome(step, regs, data):
+    """What one call of ``step`` does to copies of ``regs`` and ``data``."""
+    regs, data = list(regs), list(data)
+    try:
+        result = step(regs, data)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        result = (type(exc), str(exc))
+    return result, regs, data
+
+
+def _bytecode(step, adaptive=False):
+    """``step``'s instructions; ``adaptive`` shows the quickened form that
+    CPython 3.11+ runs."""
+    options = {"adaptive": True} if adaptive and sys.version_info >= (3, 11) \
+        else {}
+    return [(i.opname, i.argval)
+            for i in dis.get_instructions(step, **options)]
+
+
+_SEMANTIC = (Opcode.LI, Opcode.MOV, Opcode.ADD, Opcode.ADDI, Opcode.SUB,
+             Opcode.SUBI, Opcode.MUL, Opcode.DIV, Opcode.AND, Opcode.OR,
+             Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.MODI, Opcode.LOAD,
+             Opcode.LOADL, Opcode.LOADM, Opcode.STORE, Opcode.FADD,
+             Opcode.FMUL, Opcode.FDIV, Opcode.NOP)
+#: Opcodes whose generated code reads a missing immediate as 0.
+_IMM_MAY_BE_NONE = (Opcode.SHL, Opcode.SHR, Opcode.MODI, Opcode.LOAD,
+                    Opcode.LOADL, Opcode.LOADM, Opcode.STORE)
+_CONDS = (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BEQI,
+          Opcode.BNEI, Opcode.BLTI, Opcode.BGEI)
+_EXITS = ("fall", Opcode.JMP, Opcode.CALL, Opcode.ICALL, Opcode.RET,
+          Opcode.HALT, *_CONDS)
+
+_registers = st.integers(min_value=0, max_value=NUM_REGISTERS - 1)
+_edges = st.sampled_from([0, 1, 63, 64, 65, 127, 128, (1 << 63) - 1, 1 << 63,
+                          (1 << 64) - 1, 1 << 64, -1, -64, -(1 << 63),
+                          -(1 << 63) - 1, -(1 << 64)])
+_immediates = st.one_of(st.integers(min_value=-70, max_value=70), _edges,
+                        st.integers(min_value=-(1 << 66), max_value=1 << 66))
+_values = st.one_of(st.integers(min_value=-3, max_value=300), _edges)
+
+
+@st.composite
+def _instructions(draw):
+    op = draw(st.sampled_from(_SEMANTIC))
+    imm = draw(_immediates)
+    if op in _IMM_MAY_BE_NONE and draw(st.integers(0, 7)) == 0:
+        imm = None
+    return Instruction(op, dst=draw(_registers), src1=draw(_registers),
+                       src2=draw(_registers), imm=imm)
+
+
+@st.composite
+def _blocks(draw):
+    """A program whose ``main.entry`` holds random semantic instructions
+    and one of every exit kind; its successors and callees are blocks of
+    their own. Returns it with a register file and a data segment."""
+    body = draw(st.lists(_instructions(), min_size=0, max_size=10))
+    exit_ = draw(st.sampled_from(_EXITS))
+    if exit_ == "fall":
+        body = body or [Instruction(Opcode.NOP)]
+    elif exit_ is Opcode.JMP:
+        body.append(Instruction(exit_, target="main.target"))
+    elif exit_ in _CONDS:
+        body.append(Instruction(exit_, src1=draw(_registers),
+                                src2=draw(_registers), imm=draw(_immediates),
+                                target="main.target"))
+    elif exit_ is Opcode.CALL:
+        body.append(Instruction(exit_, target="cb1"))
+    elif exit_ is Opcode.ICALL:
+        table = draw(st.lists(st.sampled_from(["cb0", "cb1", "cb2", "cb3"]),
+                              min_size=1, max_size=6))
+        body.append(Instruction(exit_, src1=draw(_registers),
+                                itable=tuple(table)))
+    else:
+        body.append(Instruction(exit_))
+    main = Function("main")
+    main.add_block(BasicBlock("main.entry", body))
+    main.add_block(BasicBlock("main.next", [Instruction(Opcode.HALT)]))
+    main.add_block(BasicBlock("main.target", [Instruction(Opcode.HALT)]))
+    callees = []
+    for i in range(4):
+        callee = Function(f"cb{i}")
+        callee.add_block(BasicBlock(f"cb{i}.body", [Instruction(Opcode.RET)]))
+        callees.append(callee)
+    data = draw(st.lists(st.integers(min_value=_I64_MIN, max_value=_I64_MAX),
+                         min_size=1, max_size=9))
+    program = Program("shapes", [main, *callees], entry="main",
+                      data=np.asarray(data, dtype=np.int64)).finalize()
+    regs = draw(st.lists(_values, min_size=NUM_REGISTERS,
+                         max_size=NUM_REGISTERS))
+    return program, regs, data
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_blocks())
+def test_shape_steps_match_literal_source(case):
+    """A step instantiated from its shape's template gives the successor,
+    registers, data and exception of the block compiled from literal
+    source, with the same bytecode and no placeholder left."""
+    program, regs, data = case
+    block = program.block("main.entry")
+    step = compile_block(block, program, len(data))
+    oracle = _literal_step(block, program, len(data))
+    assert _outcome(step, regs, data) == _outcome(oracle, regs, data)
+    assert _bytecode(step) == _bytecode(oracle)
+    assert not [c for c in step.__code__.co_consts
+                if isinstance(c, str) and c.startswith("\0")]
+
+
+def test_blocks_of_one_shape_cost_one_compile(monkeypatch):
+    """Two blocks with the same operations and different operands share
+    one compile() and still differ in what they do. The second step is
+    made from the first one's code after that has run (and specialized)."""
+    compiles = []
+    monkeypatch.setattr(interpreter, "compile",
+                        lambda *args: compiles.append(args) or compile(*args),
+                        raising=False)
+    monkeypatch.setattr(interpreter, "_STEPS", {})
+    monkeypatch.setattr(interpreter, "_SHAPES", {})
+    b = ProgramBuilder("t", data=np.arange(8, dtype=np.int64))
+    f = b.function("main")
+    f.block("one")
+    f.addi(3, 4, 5)
+    f.load(6, 3, 2)
+    f.bgei(6, 7, "one")
+    f.block("two")
+    f.addi(9, 1, -8)
+    f.load(2, 9, 200)
+    f.bgei(2, 1 << 64, "one")
+    f.block("exit")
+    f.halt()
+    program = b.build()
+    regs = list(range(NUM_REGISTERS))
+    data = list(range(8))
+    steps = {}
+    for label in ("main.one", "main.two"):
+        block = program.block(label)
+        steps[label] = compile_block(block, program, 8)
+        oracle = _literal_step(block, program, 8)
+        assert _bytecode(steps[label], adaptive=True) \
+            == _bytecode(oracle, adaptive=True)
+        for _ in range(20):
+            assert _outcome(steps[label], regs, data) \
+                == _outcome(oracle, regs, data)
+    assert len(compiles) == 1
+    assert steps["main.one"] is not steps["main.two"]

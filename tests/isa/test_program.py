@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
+from repro.cpu.interpreter import run_program
 from repro.errors import ProgramError
 from repro.isa.builder import ProgramBuilder
-from repro.isa.program import BASE_ADDRESS, FUNCTION_ALIGNMENT
+from repro.isa.function import Function
+from repro.isa.program import (
+    BASE_ADDRESS, FUNCTION_ALIGNMENT, Program, StaticTables,
+)
 
 from tests.conftest import build_call_pair, build_counted_loop
 
@@ -158,3 +164,80 @@ def test_function_lookup(loop_program):
     with pytest.raises(ProgramError, match="no function"):
         loop_program.function("ghost")
     assert loop_program.function_id("main") == 0
+
+
+def test_duplicate_function_rejected():
+    mains = []
+    for _ in range(2):
+        f = ProgramBuilder("p").function("main")
+        f.block("entry")
+        f.halt()
+        mains.append(f.function)
+    with pytest.raises(ProgramError, match="duplicate function 'main'"):
+        Program("p", mains).finalize()
+
+
+# -- deriving a program with new operands --------------------------------------
+
+
+def _main(iterations=20, latch="latch", test="bnei", target="head",
+          spare=False) -> Function:
+    """``build_call_pair``'s ``main`` alone, with one thing changed."""
+    f = ProgramBuilder("call_pair").function("main")
+    f.block("entry")
+    f.li(0, iterations)
+    f.block("head")
+    f.call("helper")
+    f.block(latch)
+    f.subi(0, 0, 1)
+    getattr(f, test)(0, 0, target)
+    f.block("exit")
+    f.halt()
+    if spare:
+        f.block("spare")
+        f.halt()
+    return f.function
+
+
+def test_derive_with_new_operands_equals_a_full_finalize():
+    pilot = build_call_pair(iterations=20)
+    derived = pilot.derive(_main(iterations=7))
+    fresh = Program("call_pair", [_main(iterations=7), pilot.function("helper")],
+                    entry="main").finalize()
+    assert derived.tables is pilot.tables           # no second layout
+    for field in dataclasses.fields(StaticTables):
+        assert np.array_equal(getattr(derived.tables, field.name),
+                              getattr(fresh.tables, field.name)), field.name
+    assert [b.label for b in derived.blocks] == [b.label for b in fresh.blocks]
+    assert [b.index for b in derived.blocks] == list(range(fresh.num_blocks))
+    assert [i.address for b in derived.blocks for i in b.instructions] \
+        == [i.address for b in fresh.blocks for i in b.instructions]
+    assert derived.block("main.entry") is derived.function("main").entry
+    assert np.array_equal(run_program(derived).block_seq,
+                          run_program(fresh).block_seq)
+    # The pilot keeps its own main and still runs 20 iterations.
+    assert pilot.function("main").entry.instructions[0].imm == 20
+    assert pilot.block("main.entry") is pilot.function("main").entry
+    assert run_program(pilot).block_seq.size \
+        > run_program(derived).block_seq.size
+
+
+@pytest.mark.parametrize("change", [
+    {"latch": "tail"},          # a label
+    {"test": "blti"},           # an opcode
+    {"spare": True},            # the number of blocks
+    {"target": "entry"},        # a branch target
+])
+def test_derive_refuses_more_than_new_operands(change):
+    pilot = build_call_pair(iterations=20)
+    with pytest.raises(ProgramError):
+        pilot.derive(_main(**change))
+
+
+def test_derive_needs_a_function_of_the_same_name():
+    pilot = build_call_pair()
+    stranger = ProgramBuilder("p").function("stranger")
+    stranger.block("entry")
+    stranger.halt()
+    with pytest.raises(ProgramError, match="no function named 'stranger'"):
+        pilot.derive(stranger.function)

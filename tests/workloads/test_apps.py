@@ -12,7 +12,7 @@ from repro.errors import WorkloadError
 from repro.cpu.interpreter import run_program
 from repro.cpu.trace import Trace
 from repro.isa.opcodes import Opcode
-from repro.isa.program import StaticTables
+from repro.isa.program import Program, StaticTables
 from repro.workloads.apps.generator import (
     AppProfile,
     build_app,
@@ -99,6 +99,47 @@ def test_build_app_emits_once_and_never_runs_the_oracle(name, monkeypatch):
         assert [i for b in program.blocks for i in b.instructions] \
             == [i for b in expected.blocks for i in b.instructions]
         assert np.array_equal(program.data, expected.data)
+
+
+@pytest.mark.parametrize("name", sorted(APP_PROFILES))
+def test_build_app_lays_out_once(name, monkeypatch):
+    """The final program is derived from the pilot: one layout per app."""
+    layouts = []
+    layout = Program._layout
+
+    def counting(program):
+        layouts.append(program.name)
+        layout(program)
+
+    monkeypatch.setattr(Program, "_layout", counting)
+    build_app(APP_PROFILES[name], scale=0.05, seed=3)
+    assert layouts == [name]
+
+
+def _old_draw_work(profile, rng):
+    """Work-block draws as they were made by name, per call."""
+    lo, hi = profile.block_size
+    size = int(rng.integers(lo, hi + 1))
+    names = list(profile.mix)
+    weights = np.asarray([profile.mix[k] for k in names], dtype=np.float64)
+    weights /= weights.sum()
+    kinds = [str(k) for k in rng.choice(names, size=size, p=weights)]
+    return generator.WorkPlan(kinds=kinds)
+
+
+@pytest.mark.parametrize("name", sorted(APP_PROFILES))
+def test_work_draws_by_index_keep_every_plan(name, monkeypatch):
+    """Drawing kind indices against precomputed weights takes the same
+    random numbers as drawing kind names: every plan stays the same."""
+    profile = APP_PROFILES[name]
+    new = [generate_structure(profile, seed) for seed in (0, 1, 1234)]
+    monkeypatch.setattr(generator, "_draw_work",
+                        lambda profile, rng, _mix: _old_draw_work(profile, rng))
+    old = [generate_structure(profile, seed) for seed in (0, 1, 1234)]
+    for a, b in zip(new, old):
+        assert a.functions == b.functions
+        assert a.dispatch_table == b.dispatch_table
+        assert np.array_equal(a.data, b.data)
 
 
 def test_zipf_dispatch_concentrates_hotness():
