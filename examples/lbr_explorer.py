@@ -14,12 +14,9 @@ Usage::
 import numpy as np
 
 from repro import IVY_BRIDGE, Machine, get_workload
-from repro.core.lbr_counts import attribute_lbr
 from repro.core.accuracy import profile_error
+from repro.core.runner import run_method
 from repro.instrumentation import collect_reference
-from repro.pmu.events import taken_branches_event
-from repro.pmu.periods import PeriodPolicy
-from repro.pmu.sampler import Sampler, SamplingConfig
 
 
 def main() -> None:
@@ -28,12 +25,9 @@ def main() -> None:
     execution = Machine(IVY_BRIDGE).execute(program)
     trace = execution.trace
 
-    config = SamplingConfig(
-        event=taken_branches_event(IVY_BRIDGE),
-        period=PeriodPolicy(base=2003),
-        collect_lbr=True,
-    )
-    batch = Sampler(execution).collect(config, np.random.default_rng(42))
+    # The "lbr" method: retired taken branches at the prime period 2003
+    # (the next prime above 2000), each sample freezing the LBR stack.
+    profile, batch = run_method(execution, "lbr", base_period=2000, rng=42)
     print(f"Collected {batch.num_samples} LBR samples from "
           f"{trace.num_taken_branches:,} taken branches "
           f"({trace.num_instructions:,} instructions).\n")
@@ -60,8 +54,7 @@ def main() -> None:
         labels = [program.blocks[b].label for b in range(first, last + 1)]
         print(f"  [{tgt:#8x}..{src:#8x}]  " + " | ".join(labels))
 
-    # Full accounting across all samples.
-    profile = attribute_lbr(batch).normalized_to(trace.num_instructions)
+    # Full accounting across all samples (the profile run_method returned).
     reference = collect_reference(trace)
     result = profile_error(profile, reference)
     print(f"\nFull LBR basic-block accounting error: {result.error:.4f} "

@@ -60,7 +60,6 @@ from repro.pmu import (
     Precision,
     Randomization,
     SampleBatch,
-    Sampler,
     SamplingConfig,
 )
 from repro.instrumentation import ReferenceCounts, collect_reference
@@ -144,7 +143,6 @@ __all__ = [
     "Precision",
     "PeriodPolicy",
     "Randomization",
-    "Sampler",
     "SamplingConfig",
     "SampleBatch",
     "LBRFacility",

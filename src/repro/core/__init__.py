@@ -42,7 +42,6 @@ from repro.core.experiment import (
     DEFAULT_MACHINES,
     ExperimentConfig,
     Harness,
-    build_trace,
 )
 from repro.core.parallel import evaluate_cells, plan_cells
 from repro.core.tables import (
@@ -109,7 +108,6 @@ __all__ = [
     "ExperimentConfig",
     "Harness",
     "DEFAULT_MACHINES",
-    "build_trace",
     "evaluate_cells",
     "plan_cells",
     "TableResult",

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.cpu.engine import Engine
 from repro.cpu.machine import Execution
 from repro.cpu.trace import Trace
 from repro.cpu.uarch import ALL_UARCHES, get_uarch
@@ -26,11 +25,12 @@ from repro.instrumentation.reference import ReferenceCounts, collect_reference
 from repro.obs import count, span
 from repro.core.cache import ArtifactCache, cache_digest
 from repro.core.methods import method_available
-from repro.core.runner import evaluate_method
+from repro.core.runner import evaluate_method, resolve_engine
 from repro.core.stats import AccuracyStats
 from repro.workloads.registry import get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cpu.engine import Engine
     from repro.fidelity.stats import FidelityStats
 
 #: Machine names in the order the paper's tables list them.
@@ -91,34 +91,6 @@ class ExperimentConfig:
         return range(self.seed_base, self.seed_base + self.repeats)
 
 
-def _fast_engine() -> Engine:
-    # Imported on first use so that importing the public API stays cheap.
-    from repro.cpu.fastengine import FastEngine
-
-    return FastEngine()
-
-
-def build_trace(
-    workload_name: str,
-    scale: float = 1.0,
-    engine: Engine | None = None,
-    program=None,
-) -> Trace:
-    """Interpret one workload into its (microarchitecture-neutral) trace.
-
-    The dynamic block sequence depends only on the program, never on a
-    machine (see DESIGN.md: all three machines differ only in timing and
-    PMU features), so no uarch participates here.  This is the one
-    trace-building helper: :meth:`Harness.trace` routes through it too.
-    ``engine`` defaults to a fresh fast engine; ``program`` short-circuits
-    the workload build when the caller already holds one.
-    """
-    engine = engine or _fast_engine()
-    if program is None:
-        program = engine.program(workload_name, scale)
-    return engine.trace(program)
-
-
 def _fitted_trace(program, block_seq: np.ndarray) -> Trace | None:
     """A trace of ``program`` over a block sequence it did not run itself
     (cached or handed over), or ``None`` when the sequence cannot be one.
@@ -165,7 +137,7 @@ class Harness:
     def engine(self) -> Engine:
         """The harness's engine instance (created on first use)."""
         if self._engine is None:
-            self._engine = _fast_engine()
+            self._engine = resolve_engine()
         return self._engine
 
     # -- cache keys --------------------------------------------------------
@@ -260,8 +232,7 @@ class Harness:
                     if arrays is not None:
                         trace = _fitted_trace(program, arrays["block_seq"])
                 if trace is None:
-                    trace = build_trace(workload_name, self.config.scale,
-                                        engine=engine, program=program)
+                    trace = engine.trace(program)
                     if self.cache is not None:
                         self.cache.put_arrays(
                             "trace", self._trace_digest(workload_name),

@@ -17,7 +17,7 @@ from repro.errors import EvaluationAborted
 from repro.cpu.machine import Execution
 from repro.instrumentation.reference import ReferenceCounts, collect_reference
 from repro.obs import count, span
-from repro.pmu.sampler import SampleBatch, Sampler
+from repro.pmu.sampler import SampleBatch
 from repro.core.accuracy import profile_error
 from repro.core.attribution import attribute_plain
 from repro.core.ip_fix import attribute_with_ip_fix
@@ -31,6 +31,16 @@ _ATTRIBUTORS = {
     Attribution.IP_FIX: attribute_with_ip_fix,
     Attribution.LBR_COUNTS: attribute_lbr,
 }
+
+
+def resolve_engine(engine=None):
+    """``engine``, or a fresh :class:`~repro.cpu.fastengine.FastEngine`
+    (imported here, so that importing the public API stays cheap)."""
+    if engine is None:
+        from repro.cpu.fastengine import FastEngine
+
+        engine = FastEngine()
+    return engine
 
 
 def cell_seed(
@@ -69,10 +79,9 @@ def run_method(
     deterministic per-cell seed (:func:`cell_seed`) instead; pass a seeded
     generator (as :func:`evaluate_method` does) for repeat-level control.
 
-    ``engine`` (an :class:`~repro.cpu.engine.Engine` instance, or ``None``
-    for the reference path) supplies the sample collector; every engine's
-    batches are bit-identical, so the profile and errors never depend on
-    the choice.
+    ``engine`` supplies the sample collector (:func:`resolve_engine`:
+    ``None`` means a fresh fast engine); every engine's batches are
+    bit-identical, so the profile and errors never depend on the choice.
     """
     if rng is None:
         rng = np.random.default_rng(cell_seed(
@@ -87,8 +96,7 @@ def run_method(
               machine=execution.uarch.name,
               workload=execution.program.name,
               period=base_period):
-        collector = (Sampler(execution) if engine is None
-                     else engine.sampler(execution))
+        collector = resolve_engine(engine).sampler(execution)
         batch = collector.collect(resolved.config, rng)
         profile = _ATTRIBUTORS[resolved.attribution](batch, method=method_key)
         if normalize:
@@ -130,13 +138,14 @@ def evaluate_method(
     independently); a truthy return raises :class:`EvaluationAborted`, so
     long-running service jobs stop burning CPU once their deadline passes.
 
-    ``engine`` is forwarded to :func:`run_method`; errors are identical
-    for every engine (bit-identical sample batches).
+    One engine (:func:`resolve_engine`) serves every repeat; errors are
+    identical for every engine (bit-identical sample batches).
     """
     if reference is None:
         with span("reference", workload=execution.program.name):
             reference = collect_reference(execution.trace)
     resolved = resolve_method(method_key, execution.uarch, base_period)
+    engine = resolve_engine(engine)
     errors: list[float] = []
     for seed in seeds:
         if abort is not None and abort():

@@ -12,7 +12,8 @@ Public API:
 * :class:`~repro.cpu.uarch.Microarchitecture` and the three paper machines
   :data:`~repro.cpu.uarch.WESTMERE`, :data:`~repro.cpu.uarch.IVY_BRIDGE`,
   :data:`~repro.cpu.uarch.MAGNY_COURS`
-* :func:`~repro.cpu.interpreter.run_program`
+* :func:`~repro.cpu.interpreter.run_program`, the one driver (its oracle
+  is :func:`repro.cpu.engine.interpret`)
 * :class:`~repro.cpu.trace.Trace`
 * :func:`~repro.cpu.retirement.retirement_cycles`
 * :class:`~repro.cpu.machine.Machine`, :class:`~repro.cpu.machine.Execution`

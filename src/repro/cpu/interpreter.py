@@ -1,11 +1,16 @@
-"""A block-granular interpreter for synthetic-ISA programs.
+"""The one driver that runs synthetic-ISA programs.
 
-The interpreter compiles every basic block to a small Python function
-(straight-line semantic updates plus a successor computation) and then drives
+:func:`run_program` compiles every basic block to a small Python function
+(straight-line semantic updates plus a successor computation) and drives
 those compiled steps from a tight loop. Timing-only instructions (FP ops,
 NOPs) are skipped during compilation — they matter only to the retirement
 model, which works from the static pools. A block is compiled when it first
-runs. The data segment is a Python list while a program runs.
+runs. The data segment is a Python list while a program runs. At a static
+loop header outside any call, the counted-loop analysis of
+:mod:`repro.cpu.lanes` (imported on the first run) emits thousands of
+iterations at once; any iteration it cannot prove runs block by block, so
+the sequence is exact. Reading a register the lanes could not reconstruct
+replays the run with the lanes off (see :class:`LazyRegisters`).
 
 A block's code is fixed by its *shape* (its semantic operations in order
 and how it exits) and its *operands* (registers, immediates, successor
@@ -19,7 +24,8 @@ operands, so blocks with equal code share one step.
 
 The output is the *dynamic block sequence*: a ``numpy`` array of block indices
 in execution order. Everything downstream (instruction traces, reference
-counts, PMU sampling) derives from it.
+counts, PMU sampling) derives from it. The oracle that checks it,
+:func:`repro.cpu.engine.interpret`, shares none of this code.
 """
 
 from __future__ import annotations
@@ -275,6 +281,125 @@ def compile_program(program: Program, dlen: int) -> list[Step]:
     return steps
 
 
+# -- the driver --------------------------------------------------------------
+
+#: Consecutive zero-progress lane attempts before a header is abandoned
+#: for the remainder of the run.
+_MAX_ZERO_RUNS = 2
+#: Analysis attempts (distinct entry states) cached per loop header.
+_MAX_ANALYSES = 4
+#: First lane-batch width for a loop header; consecutive batches double
+#: from here up to :data:`repro.cpu.lanes.MAX_LANES`.
+_BASE_LANES = 1024
+#: Width used when a header is re-entered after its loop was seen ending
+#: (partial or empty batch).  Mask work is O(width), so re-probing a loop
+#: that usually runs dry again — an inner loop re-entered per outer
+#: iteration, or a header revisited after exit — must be cheap; a genuinely
+#: long re-entry just ramps back up by doubling.
+_PROBE_LANES = 256
+
+_FAILED = object()
+
+
+class _ProgramArtifacts:
+    """Compilation state for one program (weakly keyed, reused across runs)."""
+
+    def __init__(self, program: Program) -> None:
+        from repro.cpu import lanes
+
+        program.finalize()
+        self.dlen = int(program.data.size)
+        self.steps = compile_program(program, self.dlen)
+        tables = program.tables
+        self.kinds = [int(k) for k in tables.block_kind]
+        self.conts = [int(c) for c in tables.fall_next]
+        self.entry = program.function(program.entry).entry.index
+        self.hot = lanes.loop_header_candidates(program)
+        self.analyses: dict[int, object] = {}
+        self._stores: bool | None = None
+        self._program = weakref.ref(program)
+
+    def stores(self) -> bool:
+        """Whether the program writes its data segment (scanned on first
+        use: most programs never run a lane batch and never ask)."""
+        if self._stores is None:
+            program = self._program()
+            self._stores = any(ins.opcode is Opcode.STORE
+                               for block in program.blocks
+                               for ins in block.instructions)
+        return self._stores
+
+    def analysis_for(self, header: int, regs: list):
+        """A cached loop analysis valid at ``regs``, or None."""
+        slot = self.analyses.get(header)
+        if slot is _FAILED:
+            return None
+        if slot is None:
+            slot = []
+            self.analyses[header] = slot
+        for an in slot:
+            if an.valid_for(regs):
+                return an
+        if len(slot) >= _MAX_ANALYSES:
+            return None
+        program = self._program()
+        if program is None:  # pragma: no cover - program died mid-run
+            return None
+        from repro.cpu import lanes
+
+        an = lanes.analyze_loop(program, header, regs)
+        if an is None:
+            if not slot:
+                self.analyses[header] = _FAILED
+            return None
+        slot.append(an)
+        return an
+
+
+_ARTIFACTS: "weakref.WeakKeyDictionary[Program, _ProgramArtifacts]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _artifacts_for(program: Program) -> _ProgramArtifacts:
+    art = _ARTIFACTS.get(program)
+    if art is None:
+        art = _ProgramArtifacts(program)
+        _ARTIFACTS[program] = art
+    return art
+
+
+class LazyRegisters(list):
+    """A final register file materialized on first access.
+
+    The lanes defer loop-carried values they cannot reconstruct; reading
+    any element replays the run once with the lanes off and caches the
+    exact register file.  All list behaviour (len, iteration, indexing,
+    equality, repr) forces materialization first.
+    """
+
+    def __init__(self, replay: Callable[[], list[int]]) -> None:
+        super().__init__()
+        self._replay = replay
+        self._forced = False
+
+    def _force(self) -> None:
+        if not self._forced:
+            list.extend(self, self._replay())
+            self._forced = True
+
+
+def _forcing(method):
+    def forced(self, *args):
+        self._force()
+        return method(self, *args)
+    return forced
+
+
+for _name in ("__len__", "__getitem__", "__iter__", "__eq__", "__ne__",
+              "__contains__", "__repr__"):
+    setattr(LazyRegisters, _name, _forcing(getattr(list, _name)))
+
+
 def run_program(
     program: Program,
     fuel: int = DEFAULT_FUEL,
@@ -293,22 +418,29 @@ def run_program(
         Optional initial register file (defaults to all zeros).
     """
     with span("interpret", program=program.name, fuel=fuel) as sp:
-        result = _run_program(program, fuel, registers)
+        result = _run(program, fuel, registers, laned=True)
         sp.set(blocks=result.blocks_executed)
         count("interpret.blocks", result.blocks_executed)
     return result
 
 
-def _run_program(
+def _run(
     program: Program,
     fuel: int,
     registers: list[int] | None,
+    laned: bool,
 ) -> InterpreterResult:
-    program.finalize()
+    """The driver loop; ``laned=False`` replays with the lanes off."""
+    from repro.cpu import lanes
+
+    art = _artifacts_for(program)
+    # Steps read and write a list; the lanes read an int64 array, which is
+    # the program's own segment unless a store may have changed the list.
     data = program.data.tolist()
-    steps = compile_program(program, len(data))
-    kinds = [int(k) for k in program.tables.block_kind]
-    conts = [int(c) for c in program.tables.fall_next]
+    lane_data = program.data
+    steps = art.steps
+    kinds = art.kinds
+    conts = art.conts
 
     regs = list(registers) if registers is not None else [0] * NUM_REGISTERS
     if len(regs) != NUM_REGISTERS:
@@ -321,36 +453,103 @@ def _run_program(
     k_ret = int(BlockKind.RET)
     k_halt = int(BlockKind.HALT)
 
-    entry = program.function(program.entry).entry.index
-    seq: list[int] = []
-    append = seq.append
+    hot = art.hot if laned else frozenset()
+    disabled: set[int] = set()
+    zero_runs: dict[int, int] = {}
+    # Lane-batch ramp: run_batch pays O(width) mask work even when few
+    # lanes are live, so a fixed width wastes a full batch of dead lanes
+    # every time a short loop is re-entered.  Start small and double on
+    # each consecutive batch of the same loop — overshoot is bounded by
+    # one (final) batch while long loops still reach full width.
+    widths: dict[int, int] = {}
+    chunks: list[np.ndarray] = []
+    seg: list[int] = []
+    append = seg.append
     stack: list[int] = []
-    cur = entry
-    remaining = fuel
+    cur = art.entry
+    emitted = 0
+    opaque_present = False
 
-    while True:
-        append(cur)
-        remaining -= 1
-        if remaining < 0:
-            raise ExecutionError(
-                f"program {program.name!r} exceeded fuel of {fuel} blocks"
-            )
-        nxt = steps[cur](regs, data)
-        k = kinds[cur]
-        if k == k_ret:
-            if not stack:
+    def overflow() -> ExecutionError:
+        return ExecutionError(
+            f"program {program.name!r} exceeded fuel of {fuel} blocks"
+        )
+
+    try:
+        while True:
+            if cur in hot and not stack and cur not in disabled:
+                an = art.analysis_for(cur, regs)
+                if an is not None:
+                    width = widths.get(cur, _BASE_LANES)
+                    if art.stores():
+                        lane_data = np.array(data, dtype=np.int64)
+                    batch = an.run_batch(regs, lane_data, width)
+                    if batch is None:
+                        widths[cur] = _PROBE_LANES
+                        z = zero_runs.get(cur, 0) + 1
+                        zero_runs[cur] = z
+                        if z >= _MAX_ZERO_RUNS:
+                            disabled.add(cur)
+                    else:
+                        chunk, n_blocks, n_iters = batch
+                        # A full batch means the loop is still going: retry
+                        # wider.  A partial one proves it ended mid-batch,
+                        # so the next entry starts at probe width.
+                        widths[cur] = (min(width * 2, lanes.MAX_LANES)
+                                       if n_iters >= width else _PROBE_LANES)
+                        zero_runs[cur] = 0
+                        emitted += n_blocks
+                        if emitted > fuel:
+                            raise overflow()
+                        if seg:
+                            chunks.append(np.asarray(seg, dtype=np.int32))
+                            seg = []
+                            append = seg.append
+                        chunks.append(chunk)
+                        if an.carried and not opaque_present:
+                            opaque_present = any(
+                                regs[r] is lanes.OPAQUE_REG
+                                for r in an.carried
+                            )
+                        continue
+            append(cur)
+            emitted += 1
+            if emitted > fuel:
+                raise overflow()
+            nxt = steps[cur](regs, data)
+            k = kinds[cur]
+            if k == k_ret:
+                if not stack:
+                    break
+                cur = stack.pop()
+            elif k == k_halt:
                 break
-            cur = stack.pop()
-        elif k == k_halt:
-            break
-        elif k == k_call or k == k_icall:
-            stack.append(conts[cur])
-            cur = nxt
-        else:
-            cur = nxt
+            elif k == k_call or k == k_icall:
+                stack.append(conts[cur])
+                cur = nxt
+            else:
+                cur = nxt
+    except lanes.OpaqueRegisterRead:
+        # A deferred loop-carried value fed back into control or memory:
+        # replay the run exactly, with the lanes off.
+        return _run(program, fuel, registers, laned=False)
+    except (TypeError, ValueError, IndexError):
+        # NumPy reports a poison index as IndexError/TypeError instead of
+        # letting the _OpaqueRegister.__index__ trap propagate.
+        if opaque_present:
+            return _run(program, fuel, registers, laned=False)
+        raise
 
+    if seg:
+        chunks.append(np.asarray(seg, dtype=np.int32))
+    block_seq = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    if opaque_present and any(r is lanes.OPAQUE_REG for r in regs):
+        initial = None if registers is None else list(registers)
+        regs = LazyRegisters(
+            lambda: _run(program, fuel, initial, laned=False).registers)
     return InterpreterResult(
-        block_seq=np.asarray(seq, dtype=np.int32),
+        block_seq=np.ascontiguousarray(block_seq, dtype=np.int32),
         registers=regs,
         data=np.array(data, dtype=np.int64),
     )

@@ -1,13 +1,13 @@
-"""Counted-loop lane vectorization for the fast engine.
+"""Counted-loop lane vectorization for the interpreter's driver.
 
-The reference interpreter steps one basic block at a time.  Hot workloads
-spend almost all of their time in counted loops whose control decisions are
-pure functions of the iteration index and the (read-only, per-iteration)
-data segment.  This module detects such loops at run time, analyses one loop
-body symbolically, and then evaluates *many iterations at once* ("lanes")
-with NumPy: one int64 array per predicate, one boolean mask per body node,
-and a single ravel to materialize the dynamic block sequence for thousands
-of iterations.
+The driver (:func:`repro.cpu.interpreter.run_program`) steps one basic
+block at a time.  Hot workloads spend almost all of their time in counted
+loops whose control decisions are pure functions of the iteration index and
+the (read-only, per-iteration) data segment.  This module detects such
+loops at run time, analyses one loop body symbolically, and then evaluates
+*many iterations at once* ("lanes") with NumPy: one int64 array per
+predicate, one boolean mask per body node, and a single ravel to
+materialize the dynamic block sequence for thousands of iterations.
 
 Soundness model
 ---------------
@@ -33,9 +33,9 @@ intermediate fits in int64 with NumPy semantics equal to the interpreter's
 unbounded-Python semantics.  Any node that fails — unsupported opcode,
 store, potential overflow, an edge leaving the loop — becomes *terminal*:
 the first lane whose path reaches a terminal node truncates the batch, and
-the plain interpreter resumes exactly there with a fully reconstructed
+the driver's block steps resume exactly there with a fully reconstructed
 register file.  Lanes never run ahead of a store or an unproven value, so
-the emitted block sequence is bit-identical to the reference interpreter's.
+the emitted block sequence is bit-identical to stepping every block.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ class _LoopAnalysis:
                 self._symbolic_pass()
         except _NotVectorizable:
             self.ok = False
-        # The fast engine caches analyses beside a weakly held program; a
+        # The driver caches analyses beside a weakly held program; a
         # kept reference to it (or to the run's registers) would pin both.
         del self.program, self._regs
 
@@ -808,6 +808,7 @@ class _BatchEval:
     def _load(self, e):
         addr, lo, hi = self._eval(e[1])
         imm = e[2]
+        self._chk(imm, imm)  # NumPy adds it to an int64 array
         self._chk(lo + imm, hi + imm)
         dlen = self.an.dlen
         if isinstance(addr, int):
@@ -830,11 +831,15 @@ class _BatchEval:
             return (va << k, lo << k, hi << k)
         if tag == "shr":
             return (va >> k, lo >> k, hi >> k)
+        self._chk(k, k)  # a divisor from an immediate or a register
         if tag == "divc":
             ends = (lo // k, hi // k)
+            self._chk(min(ends), max(ends))  # I64_MIN // -1 does not fit
             out = va // k
             return (out, min(ends), max(ends))
-        # modc: k > 0 by construction
+        # modc: k != 0 by construction, and the result takes k's sign.
+        if k < 0:
+            return (va % k, k + 1, 0)
         return (va % k, 0, k - 1)
 
     def _binary(self, e):

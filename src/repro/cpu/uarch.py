@@ -53,7 +53,7 @@ class Microarchitecture:
     has_pebs / has_pdir / has_ibs:
         Precise-sampling feature flags.
     lbr_depth:
-        Number of LBR entries (0 = no LBR facility).
+        Number of LBR entries (0 = no LBR facility, else at least 2).
     ibs_dispatch_group:
         AMD only: uop dispatch-group width; with hardware period
         randomization enabled, IBS tag selection quantizes to dispatch-group
@@ -87,6 +87,8 @@ class Microarchitecture:
             raise PMUConfigError(f"{self.name}: retire_width must be >= 1")
         if self.lbr_depth < 0:
             raise PMUConfigError(f"{self.name}: lbr_depth must be >= 0")
+        if self.lbr_depth == 1:  # no segment fits: LBRFacility refuses it
+            raise PMUConfigError(f"{self.name}: lbr_depth must be 0 or >= 2")
         missing = [lc for lc in LatencyClass if lc not in self.latency_cycles]
         if missing:
             raise PMUConfigError(

@@ -119,14 +119,16 @@ def evaluate_fidelity(
     Seeding matches :func:`~repro.core.runner.evaluate_method` run for
     run, and the accuracy half equals what it returns, so fidelity
     describes exactly the profiles the accuracy numbers describe.
-    ``abort`` is polled between repeats; ``engine`` is forwarded to
-    :func:`~repro.core.runner.run_method` (bit-identical batches, so
-    neither half depends on the engine).
+    ``abort`` is polled between repeats.  One engine
+    (:func:`~repro.core.runner.resolve_engine`) serves every repeat; its
+    batches are bit-identical to any other's, so neither half depends on
+    the engine.
     """
     if reference is None:
         with span("reference", workload=execution.program.name):
             reference = collect_reference(execution.trace)
     resolved = resolve_method(method_key, execution.uarch, base_period)
+    engine = runner.resolve_engine(engine)
     # Every repeat scores against the same reference: its side of each
     # score is computed once per cell.
     ref_blocks = reference.block_instr_counts.astype(np.float64)

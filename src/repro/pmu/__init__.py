@@ -11,7 +11,9 @@ The mechanisms differ exactly where the paper says they do:
 * AMD IBS uop-granularity tagging (:mod:`repro.pmu.ibs`),
 * the 16-deep Last Branch Record stack (:mod:`repro.pmu.lbr`).
 
-:class:`~repro.pmu.sampler.Sampler` ties these together.
+:class:`~repro.pmu.fastpath.FastSampler` ties these together; the
+per-instruction :class:`~repro.pmu.sampler.Sampler` is the oracle it is
+checked against (:class:`~repro.cpu.engine.ReferenceEngine` only).
 """
 
 from repro.pmu.events import Event, EventKind, Precision, event_catalog, get_event
@@ -21,7 +23,7 @@ from repro.pmu.skid import deliver_imprecise
 from repro.pmu.pebs import capture_pebs, capture_pdir
 from repro.pmu.ibs import capture_ibs
 from repro.pmu.lbr import LBRFacility, LBRStack
-from repro.pmu.sampler import Sampler, SampleBatch, SamplingConfig
+from repro.pmu.sampler import SampleBatch, SamplingConfig
 from repro.pmu.counting import CounterReading, is_deterministic, read_counter
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "capture_ibs",
     "LBRFacility",
     "LBRStack",
-    "Sampler",
     "SampleBatch",
     "SamplingConfig",
 ]

@@ -1,8 +1,11 @@
 """The sampling front-end: configure an event + period, collect samples.
 
-:class:`Sampler` plays the role of the (modified) ``perf`` utility in the
+A collector plays the role of the (modified) ``perf`` utility in the
 paper's setup: it programs the simulated PMU, lets the workload "run", and
-returns the batch of samples a profiler would post-process.
+returns the batch of samples a profiler would post-process.  The library
+collects with :class:`~repro.pmu.fastpath.FastSampler`; :class:`Sampler`
+here, per instruction, is the oracle it is checked against, and only
+:class:`~repro.cpu.engine.ReferenceEngine` uses it.
 """
 
 from __future__ import annotations

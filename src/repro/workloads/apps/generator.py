@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cpu.interpreter import run_program
 from repro.errors import WorkloadError
 from repro.isa.builder import FunctionBuilder, ProgramBuilder
 from repro.isa.function import Function
@@ -388,15 +389,11 @@ def build_app(
     program hits ``profile.target_instructions * scale`` regardless of the
     drawn structure.
     """
-    # Imported here so that importing the workloads (and ``repro.api``)
-    # loads no fast-engine module.
-    from repro.cpu.fastengine import fast_run_program
-
     structure = generate_structure(profile, seed)
     functions = _emit_functions(structure)
     pilot = _link(structure, _PILOT_ITERATIONS, functions)
     pilot_instr = int(
-        pilot.tables.block_sizes[fast_run_program(pilot).block_seq].sum()
+        pilot.tables.block_sizes[run_program(pilot).block_seq].sum()
     )
     per_iteration = max(1.0, pilot_instr / _PILOT_ITERATIONS)
     target = profile.target_instructions * scale

@@ -141,7 +141,7 @@ CAMPAIGN_WORKLOADS = ("callchain", "phased", "interleaved", "memaccess",
 @pytest.fixture(scope="session")
 def campaign_traces():
     """Small-scale traces of the campaign workloads, keyed by name."""
-    from repro.core.experiment import build_trace
+    from repro.core.experiment import ExperimentConfig, Harness
 
-    return {name: build_trace(name, scale=0.02)
-            for name in CAMPAIGN_WORKLOADS}
+    harness = Harness(ExperimentConfig(scale=0.02))
+    return {name: harness.trace(name) for name in CAMPAIGN_WORKLOADS}

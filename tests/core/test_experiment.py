@@ -11,7 +11,6 @@ from repro.core.experiment import (
     DEFAULT_MACHINES,
     ExperimentConfig,
     Harness,
-    build_trace,
 )
 from repro.workloads.registry import get_workload
 
@@ -67,11 +66,11 @@ def test_config_seeds(harness):
     assert list(harness.config.seeds) == [100, 101]
 
 
-def test_trace_is_uarch_neutral():
-    """The trace builder involves no machine; every uarch observes the
+def test_trace_is_uarch_neutral(harness):
+    """The harness builds a trace with no machine; every uarch observes the
     identical dynamic block sequence (DESIGN.md: machines differ only in
     timing and PMU features)."""
-    neutral = build_trace("latency_biased", scale=0.01)
+    neutral = harness.trace("latency_biased")
     program = get_workload("latency_biased").build(scale=0.01)
     for uarch in ALL_UARCHES:
         executed = Machine(uarch).execute(program).trace

@@ -1,21 +1,25 @@
-"""Differential fuzz suite: the fast engine must be bit-identical to the
-reference engine.
+"""Differential suite: the product must be bit-identical to the oracle.
 
-The fast engine (:mod:`repro.cpu.fastengine`, :mod:`repro.pmu.fastpath`)
-is pure optimization — vectorized trace expansion and event-driven
-overflow delivery.  Its contract is *bit-identity*: for any program and
-any sampling configuration, block sequences, final architectural state,
-and every field of every :class:`~repro.pmu.sampler.SampleBatch` must
-equal the reference engine's, including randomized periods, random phase,
-jittered skid, and LBR ranges (the RNG consumption order is part of the
-contract).  These tests enforce that over randomized programs and the
-paper's method ladder, at four levels: interpreter, sampler, harness cell
-and consumer fidelity.  The fast engine is the one every harness runs;
-the reference engine exists to be compared against here.
+The product runs every program through one driver
+(:func:`repro.cpu.interpreter.run_program`, with the lane accelerator of
+:mod:`repro.cpu.lanes`) and samples with the O(samples) collector of
+:mod:`repro.pmu.fastpath`, behind :class:`~repro.cpu.fastengine.FastEngine`.
+The oracle, :class:`~repro.cpu.engine.ReferenceEngine`, shares no code with
+the driver: :func:`repro.cpu.engine.interpret` steps one instruction at a
+time, and the per-instruction :class:`~repro.pmu.sampler.Sampler` collects.
+The contract is *bit-identity*: for any program and any sampling
+configuration, block sequences, final architectural state, exceptions, and
+every field of every :class:`~repro.pmu.sampler.SampleBatch` must equal the
+oracle's, including randomized periods, random phase, jittered skid, and
+LBR ranges (the RNG consumption order is part of the contract).  These
+tests enforce that over fixed and generated programs, generated machines
+and the paper's method ladder, at four levels: interpreter, sampler,
+harness cell and consumer fidelity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -23,15 +27,18 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import IVY_BRIDGE, MAGNY_COURS, WESTMERE, Machine, ProgramBuilder
 from repro.core.experiment import CellSpec, ExperimentConfig, Harness
-from repro.cpu import fastengine, interpreter, lanes
-from repro.cpu.engine import ReferenceEngine
-from repro.cpu.fastengine import FastEngine, fast_run_program
-from repro.cpu.interpreter import run_program
+from repro.cpu import interpreter, lanes
+from repro.cpu.engine import ReferenceEngine, interpret
+from repro.cpu.fastengine import FastEngine
+from repro.cpu.interpreter import LazyRegisters, run_program
 from repro.cpu.trace import Trace
 from repro.errors import PMUConfigError
+from repro.isa.builder import NUM_REGISTERS
+from repro.isa.opcodes import LatencyClass
 from repro.core.methods import METHOD_KEYS, method_available, resolve_method
 from repro.pmu.events import (
     Precision,
@@ -43,6 +50,7 @@ from repro.pmu.periods import PeriodPolicy, Randomization
 from repro.pmu.sampler import Sampler, SamplingConfig
 
 from tests.conftest import build_counted_loop
+from tests.integration.test_pipeline_properties import programs_with_calls
 
 FUZZ_SEEDS = range(30)          # >= 25 randomized programs
 ALL_UARCHES = (WESTMERE, IVY_BRIDGE, MAGNY_COURS)
@@ -169,8 +177,8 @@ def test_engines_are_fresh_instances():
 
 def test_fuzz_interpreter_bit_identical(fuzz_programs):
     for seed, program in fuzz_programs.items():
-        ref = run_program(program)
-        fast = fast_run_program(program)
+        ref = interpret(program)
+        fast = run_program(program)
         assert np.array_equal(ref.block_seq, fast.block_seq), \
             f"fuzz seed {seed}: block sequences diverge"
         assert list(fast.registers) == list(ref.registers), \
@@ -183,8 +191,8 @@ def test_fuzz_trace_statistics_identical(fuzz_programs):
     """Trace-level derived arrays (what the PMU samples against) match."""
     for seed in list(FUZZ_SEEDS)[:8]:
         program = fuzz_programs[seed]
-        t_ref = Trace(program, run_program(program).block_seq)
-        t_fast = Trace(program, fast_run_program(program).block_seq)
+        t_ref = Trace(program, interpret(program).block_seq)
+        t_fast = Trace(program, run_program(program).block_seq)
         assert t_ref.num_instructions == t_fast.num_instructions
         assert np.array_equal(t_ref.taken_positions, t_fast.taken_positions)
         assert np.array_equal(t_ref.cumulative_uops, t_fast.cumulative_uops)
@@ -231,8 +239,8 @@ def test_lanes_read_what_the_steps_stored(monkeypatch):
 
     monkeypatch.setattr(lanes._LoopAnalysis, "run_batch", spy)
     program = _store_then_laned_loop()
-    ref = run_program(program)
-    fast = fast_run_program(program)
+    ref = interpret(program)
+    fast = run_program(program)
     assert np.array_equal(ref.block_seq, fast.block_seq)
     assert list(fast.registers) == list(ref.registers)
     assert np.array_equal(ref.data, fast.data) and fast.data.dtype == np.int64
@@ -243,7 +251,7 @@ def test_lanes_read_what_the_steps_stored(monkeypatch):
     # Without a store the lanes read the program's own segment.
     seen.clear()
     plain = build_counted_loop(iterations=3000)
-    fast_run_program(plain)
+    run_program(plain)
     assert seen and all(data is plain.data for data, _ in seen)
 
 
@@ -260,22 +268,279 @@ def test_store_outside_int64_raises_on_both_engines(value):
     f.store(0, 1)                   # overwriting cannot hide the first
     f.halt()
     program = b.build()
-    for run in (run_program, fast_run_program):
+    for run in (interpret, run_program):
         with pytest.raises(OverflowError):
             run(program)
+
+
+# -- lane faults the oracle found ---------------------------------------------
+
+I64_MIN = -(1 << 63)
+
+
+def _laned_loop(body, registers: dict[int, int] | None = None):
+    """A 3000-trip counted loop (r0 counts down) around ``body(f)``, which
+    may branch to ``latch``; the lanes take it. Returns the program and an
+    initial register file with ``registers`` set."""
+    b = ProgramBuilder("laned", data=np.arange(8, dtype=np.int64))
+    f = b.function("main")
+    f.block("entry")
+    f.li(0, 3000)
+    f.block("head")
+    body(f)
+    f.block("latch")
+    f.subi(0, 0, 1)
+    f.bnei(0, 0, "head")
+    f.block("exit")
+    f.halt()
+    regs = [0] * NUM_REGISTERS
+    for reg, value in (registers or {}).items():
+        regs[reg] = value
+    return b.build(), regs
+
+
+def _outcome(run, program, registers=None, fuel=interpreter.DEFAULT_FUEL):
+    """What ``run`` makes of ``program``: its exception type, or its block
+    sequence, registers and data."""
+    try:
+        result = run(program, fuel=fuel, registers=registers)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc)
+    return (result.block_seq.tolist(), list(result.registers),
+            result.data.tolist())
+
+
+def _modi_by_wide_immediate(f):
+    f.modi(5, 0, 1 << 63)
+
+
+def _div_by_wide_register(f):
+    f.div(5, 0, 6)
+
+
+def _load_with_wide_immediate(f):
+    f.load(5, 0, I64_MIN - 1)
+
+
+def _modi_by_negative_immediate(f):
+    f.modi(5, 0, -5)
+    f.add(6, 5, 7)
+    f.blti(6, 0, "latch")
+    f.block("work")
+    f.nop()
+
+
+def _div_of_int64_min_by_minus_one(f):
+    f.div(5, 2, 6)
+    f.addi(2, 2, 1)
+    f.blti(5, 0, "latch")
+    f.block("work")
+    f.nop()
+
+
+@pytest.mark.parametrize("body, registers", [
+    # The lanes handed NumPy a divisor or offset it cannot hold as int64
+    # and raised OverflowError.
+    (_modi_by_wide_immediate, {}),
+    (_div_by_wide_register, {6: 1 << 63}),
+    (_load_with_wide_immediate, {}),
+    # A negative modulus got the bounds (0, k - 1), so the int64 check let
+    # r5 + r7 wrap: 7,201 blocks instead of 6,002, with no error.
+    (_modi_by_negative_immediate, {7: I64_MIN + 2}),
+    # I64_MIN // -1 does not fit int64 and wrapped: one block short.
+    (_div_of_int64_min_by_minus_one, {2: I64_MIN, 6: -1}),
+], ids=["modi-wide", "div-wide", "load-wide", "modi-negative",
+        "div-int64-min"])
+def test_lanes_refuse_what_int64_cannot_hold(body, registers):
+    program, regs = _laned_loop(body, registers)
+    expected = _outcome(interpret, program, regs)
+    assert not isinstance(expected, type)
+    assert _outcome(run_program, program, regs) == expected
+
+
+# -- deferred registers ------------------------------------------------------
+
+
+def _opaque_loop(read_after: bool):
+    """A 3000-trip loop that sums quotients of loaded values into r5 (a
+    carried value the lanes cannot reconstruct); ``read_after`` branches on
+    it after the loop."""
+    b = ProgramBuilder("opaque", data=np.arange(1, 65, dtype=np.int64))
+    f = b.function("main")
+    f.block("entry")
+    f.li(0, 3000)
+    f.block("head")
+    f.load(3, 0)
+    f.load(4, 0, 7)
+    f.div(6, 3, 4)
+    f.add(5, 5, 6)
+    f.subi(0, 0, 1)
+    f.bnei(0, 0, "head")
+    if read_after:
+        f.block("after")
+        f.bgei(5, 1, "exit")
+        f.block("zero")
+        f.addi(6, 6, 1)
+    f.block("exit")
+    f.halt()
+    return b.build()
+
+
+def test_opaque_read_replays_the_run_with_lanes_off(monkeypatch):
+    calls: list[bool] = []
+    run = interpreter._run
+
+    def spy(program, fuel, registers, laned):
+        calls.append(laned)
+        return run(program, fuel, registers, laned)
+
+    monkeypatch.setattr(interpreter, "_run", spy)
+    program = _opaque_loop(read_after=True)
+    assert _outcome(run_program, program) == _outcome(interpret, program)
+    assert calls == [True, False]
+
+
+def test_deferred_registers_materialize_on_first_read():
+    program = _opaque_loop(read_after=False)
+    result = run_program(program)
+    assert isinstance(result.registers, LazyRegisters)
+    assert not result.registers._forced
+    expected = interpret(program)
+    assert np.array_equal(result.block_seq, expected.block_seq)
+    assert result.registers == expected.registers
+    assert result.registers[5] == expected.registers[5]
+
+
+# -- generated programs --------------------------------------------------------
+
+#: Values at and past the int64 and uint64 edges.
+_EDGES = (0, 1, -1, 2, -2, 5, -5, 63, 64, 65, (1 << 63) - 1, 1 << 63,
+          I64_MIN, I64_MIN - 1, I64_MIN + 2, (1 << 64) - 1, 1 << 64,
+          -(1 << 64))
+#: Mostly small, so that the lanes can prove most values fit int64.
+_small = st.integers(-100, 100)
+_wide = st.one_of(_small, _small, _small, st.sampled_from(_EDGES),
+                  st.integers(-(1 << 65), 1 << 65))
+#: r0 and r1 count the loops; generated instructions never write them, and
+#: read them often. Few registers, so that instructions feed each other.
+_free = st.integers(min_value=2, max_value=7)
+_any = st.one_of(st.sampled_from((0, 1)), st.integers(min_value=0,
+                                                     max_value=7))
+_BINARY = ("add", "sub", "mul", "div", "and_", "or_", "xor")
+_IMMEDIATE = ("addi", "subi", "shl", "shr", "modi")
+_BRANCH_REG = ("beq", "bne", "blt", "bge")
+_BRANCH_IMM = ("beqi", "bnei", "blti", "bgei")
+_FUEL = 20_000
+
+
+def _emit_ops(draw, f, count):
+    """``count`` random semantic instructions over wide operands (stores
+    are a segment of their own: the lanes stop at one)."""
+    for _ in range(count):
+        kind = draw(st.sampled_from(
+            ("li", "mov", "load", "fp", *_BINARY, *_IMMEDIATE)))
+        if kind == "li":
+            f.li(draw(_free), draw(_wide))
+        elif kind == "mov":
+            f.mov(draw(_free), draw(_any))
+        elif kind == "load":
+            load = draw(st.sampled_from((f.load, f.loadl, f.loadm)))
+            load(draw(_free), draw(_any), draw(_wide))
+        elif kind == "fp":
+            f.fp_burst(1)
+        elif kind in _BINARY:
+            getattr(f, kind)(draw(_free), draw(_any), draw(_any))
+        else:
+            getattr(f, kind)(draw(_free), draw(_any), draw(_wide))
+
+
+@st.composite
+def looped_programs(draw):
+    """A counted outer loop (r0) around diamonds, counted inner loops (r1),
+    CALL, ICALL, STORE and random semantic instructions, with immediates,
+    initial registers and data that reach the int64 and uint64 edges.
+    Returns the program and its initial register file."""
+    data = draw(st.lists(st.one_of(
+        st.integers(-100, 100), st.sampled_from((I64_MIN, (1 << 63) - 1)),
+        st.integers(I64_MIN, (1 << 63) - 1)), min_size=1, max_size=12))
+    b = ProgramBuilder("generated", data=np.asarray(data, dtype=np.int64))
+    helpers = [f"helper{h}" for h in range(draw(st.integers(1, 3)))]
+    f = b.function("main")
+    f.block("entry")
+    f.li(0, draw(st.integers(1, 400)))
+    f.block("head")
+    for i in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(
+            ("ops", "diamond", "loop", "call", "icall", "store")))
+        if shape == "ops":
+            _emit_ops(draw, f, draw(st.integers(1, 5)))
+        elif shape == "store":
+            f.store(draw(_any), draw(_any), draw(_wide))
+        elif shape == "diamond":
+            _emit_ops(draw, f, draw(st.integers(0, 2)))
+            if draw(st.booleans()):
+                getattr(f, draw(st.sampled_from(_BRANCH_REG)))(
+                    draw(_any), draw(_any), f"skip{i}")
+            else:
+                getattr(f, draw(st.sampled_from(_BRANCH_IMM)))(
+                    draw(_any), draw(_wide), f"skip{i}")
+            f.block(f"body{i}")
+            _emit_ops(draw, f, draw(st.integers(1, 3)))
+            f.block(f"skip{i}")
+            f.nop()
+        elif shape == "loop":
+            f.li(1, draw(st.integers(1, 12)))
+            f.block(f"inner{i}")
+            _emit_ops(draw, f, draw(st.integers(1, 4)))
+            f.subi(1, 1, 1)
+            f.bnei(1, 0, f"inner{i}")
+            f.block(f"after{i}")
+            f.nop()
+        elif shape == "call":
+            f.call(draw(st.sampled_from(helpers)))
+            f.block(f"cont{i}")
+            f.nop()
+        else:
+            f.icall(draw(_any), draw(st.lists(st.sampled_from(helpers),
+                                              min_size=1, max_size=4)))
+            f.block(f"cont{i}")
+            f.nop()
+    f.block("latch")
+    f.subi(0, 0, 1)
+    f.bnei(0, 0, "head")
+    f.block("exit")
+    f.halt()
+    for name in helpers:
+        g = b.function(name)
+        g.block("body")
+        _emit_ops(draw, g, draw(st.integers(1, 4)))
+        g.ret()
+    registers = draw(st.lists(_wide, min_size=NUM_REGISTERS,
+                              max_size=NUM_REGISTERS))
+    return b.build(), registers
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=looped_programs())
+def test_generated_programs_match_the_oracle(case):
+    """Block sequence, registers, data and exception type of the driver
+    (lanes on) equal the oracle's on generated programs."""
+    program, registers = case
+    assert _outcome(run_program, program, registers, _FUEL) \
+        == _outcome(interpret, program, registers, _FUEL)
 
 
 # -- compilation state ------------------------------------------------------
 
 
 def test_blocks_compile_on_first_run_only():
-    """After a fast run of an app, every block that never ran is still the
+    """After a run of an app, every block that never ran is still the
     stub that would compile it."""
     from repro.workloads.registry import get_workload
 
     program = get_workload("omnetpp").build(scale=0.01)
-    ran = set(fast_run_program(program).block_seq.tolist())
-    steps = fastengine._ARTIFACTS[program].steps
+    ran = set(run_program(program).block_seq.tolist())
+    steps = interpreter._ARTIFACTS[program].steps
     never = [b for b in range(program.num_blocks) if b not in ran]
     assert never and ran
     assert all(steps[b].__name__ == "compile_on_first_run" for b in never)
@@ -289,8 +554,8 @@ def test_artifacts_release_a_collected_program(name):
     from repro.workloads.registry import get_workload
 
     program = get_workload(name).build(scale=0.01)
-    fast_run_program(program)
-    assert program in fastengine._ARTIFACTS
+    run_program(program)
+    assert program in interpreter._ARTIFACTS
     alive = weakref.ref(program)
     del program
     gc.collect()
@@ -353,7 +618,7 @@ def _precision_configs(uarch):
 def test_fuzz_sampler_bit_identical(fuzz_programs):
     """Every precision class, every machine, >= 25 fuzz programs."""
     for seed, program in fuzz_programs.items():
-        trace = Trace(program, fast_run_program(program).block_seq)
+        trace = Trace(program, run_program(program).block_seq)
         uarch = ALL_UARCHES[seed % len(ALL_UARCHES)]
         execution = Machine(uarch).attach(trace)
         for label, config in _precision_configs(uarch):
@@ -381,6 +646,42 @@ def test_method_ladder_bit_identical(fuzz_programs):
                 )
                 compared += 1
     assert compared >= 20
+
+
+@st.composite
+def machines(draw):
+    """One of the paper's machines with its timing, skid, PEBS, LBR and
+    IBS parameters redrawn (its event catalog and feature flags kept)."""
+    base = draw(st.sampled_from(ALL_UARCHES))
+    cycles = st.integers(min_value=1, max_value=60)
+    return dataclasses.replace(
+        base,
+        retire_width=draw(st.integers(1, 7)),
+        latency_cycles={lc: draw(cycles) for lc in LatencyClass},
+        ooo_hide_cycles=draw(st.integers(0, 30)),
+        pmi_skid_cycles=draw(st.integers(0, 60)),
+        pmi_jitter_cycles=draw(st.integers(0, 20)),
+        pebs_arming_cycles=draw(st.integers(0, 30)),
+        lbr_depth=draw(st.one_of(st.just(0), st.integers(2, 32))),
+        ibs_dispatch_group=draw(st.integers(1, 8)),
+        ibs_arming_cycles=draw(st.integers(0, 10)),
+        ibs_flush_window=draw(st.integers(0, 40)),
+        mispredict_penalty_cycles=draw(st.integers(0, 30)),
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(program=programs_with_calls(), uarch=machines(),
+       seed=st.integers(0, 2**16))
+def test_generated_machines_sample_like_the_oracle(program, uarch, seed):
+    """Every precision the machine offers, on generated programs and
+    machines: the fast sampler's batches equal the per-instruction
+    Sampler's."""
+    execution = Machine(uarch).attach(
+        Trace(program, run_program(program).block_seq))
+    for label, config in _precision_configs(uarch):
+        ref, fast = _collect_both(execution, config, seed)
+        _assert_batches_equal(ref, fast, f"{uarch} ({label})")
 
 
 # -- overflow edge cases ----------------------------------------------------
@@ -528,11 +829,11 @@ def family_traces():
 
 
 def test_family_interpreters_bit_identical(family_traces):
-    """The three new families run bit-identically on both engines, over
-    many seeds of the sampling RNG (>= 30 comparisons per family)."""
+    """The three families run bit-identically on the driver and the
+    oracle."""
     for name, (program, _) in family_traces.items():
-        ref = run_program(program)
-        fast = fast_run_program(program)
+        ref = interpret(program)
+        fast = run_program(program)
         assert np.array_equal(ref.block_seq, fast.block_seq), name
         assert list(ref.registers) == list(fast.registers), name
         assert np.array_equal(ref.data, fast.data), name

@@ -1,4 +1,9 @@
-"""Unit tests for the block-compiling interpreter."""
+"""Unit tests for the block-compiling interpreter.
+
+The opcode and control-flow tests run on both drivers: the product's
+:func:`~repro.cpu.interpreter.run_program` and the oracle,
+:func:`repro.cpu.engine.interpret`, which shares no code with it.
+"""
 
 import dis
 import sys
@@ -15,23 +20,30 @@ from repro.isa.function import Function
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+from repro.cpu.engine import interpret
 from repro.cpu.interpreter import compile_block, run_program
 
 from tests.conftest import build_branchy, build_call_pair, build_counted_loop
 
 
-def _run_single_block(emit):
+@pytest.fixture(params=[run_program, interpret], ids=["driver", "oracle"])
+def run(request):
+    """Each driver in turn: the product's and the oracle."""
+    return request.param
+
+
+def _run_single_block(run, emit):
     """Build main.entry with ``emit(f)`` + HALT, run, return registers."""
     b = ProgramBuilder("t")
     f = b.function("main")
     f.block("entry")
     emit(f)
     f.halt()
-    return run_program(b.build()).registers
+    return run(b.build()).registers
 
 
-def test_arithmetic_semantics():
-    regs = _run_single_block(lambda f: (
+def test_arithmetic_semantics(run):
+    regs = _run_single_block(run, lambda f: (
         f.li(0, 10), f.li(1, 3),
         f.add(2, 0, 1),       # 13
         f.sub(3, 0, 1),       # 7
@@ -50,14 +62,30 @@ def test_arithmetic_semantics():
     assert regs[2:15] == [13, 7, 30, 3, 1, 2, 11, 9, 12, 5, 6, 6, 10]
 
 
-def test_divide_by_zero_yields_zero():
-    regs = _run_single_block(lambda f: (
+def test_negative_operands_floor_and_keep_sign(run):
+    regs = _run_single_block(run, lambda f: (
+        f.li(0, -7), f.li(1, 2), f.li(2, -3),
+        f.div(3, 0, 1),       # -4: DIV floors
+        f.div(4, 1, 2),       # -1
+        f.modi(5, 0, 3),      # 2: MODI takes the modulus's sign
+        f.modi(6, 1, -3),     # -1
+        f.shr(7, 0, 1),       # -4: SHR is arithmetic
+        f.shr(8, 0, 65),      # -4: the shift is imm & 63
+        f.shl(9, 2, 1),       # 2**64 - 6: SHL wraps to 64 bits
+        f.mul(10, 0, 1),      # 2**64 - 14: MUL wraps to 64 bits
+    ))
+    assert regs[3:11] == [-4, -1, 2, -1, -4, -4, (1 << 64) - 6,
+                          (1 << 64) - 14]
+
+
+def test_divide_by_zero_yields_zero(run):
+    regs = _run_single_block(run, lambda f: (
         f.li(0, 10), f.li(1, 0), f.div(2, 0, 1)
     ))
     assert regs[2] == 0
 
 
-def test_loads_and_stores():
+def test_loads_and_stores(run):
     b = ProgramBuilder("t", data=np.asarray([5, 6, 7, 8], dtype=np.int64))
     f = b.function("main")
     f.block("entry")
@@ -69,21 +97,21 @@ def test_loads_and_stores():
     f.store(0, 3, 1)      # data[2] <- 8
     f.load(5, 0, 1)       # data[2] = 8 now
     f.halt()
-    result = run_program(b.build())
+    result = run(b.build())
     assert result.registers[1:6] == [6, 7, 8, 5, 8]
     assert result.data[2] == 8
 
 
-def test_loop_iteration_count():
+def test_loop_iteration_count(run):
     program = build_counted_loop(iterations=37, body_pad=2)
-    result = run_program(program)
+    result = run(program)
     head = program.block("main.head").index
     assert int((result.block_seq == head).sum()) == 37
 
 
-def test_call_and_return_sequence():
+def test_call_and_return_sequence(run):
     program = build_call_pair(iterations=5)
-    result = run_program(program)
+    result = run(program)
     helper_body = program.function("helper").entry.index
     assert int((result.block_seq == helper_body).sum()) == 5
     # Execution starts at the entry function and ends at the HALT block.
@@ -91,9 +119,9 @@ def test_call_and_return_sequence():
     assert result.block_seq[-1] == program.block("main.exit").index
 
 
-def test_data_driven_branches():
+def test_data_driven_branches(run):
     program = build_branchy(iterations=16, seed=3)
-    result = run_program(program)
+    result = run(program)
     even = program.block("main.even").index
     odd = program.block("main.odd").index
     counts = np.bincount(result.block_seq, minlength=program.num_blocks)
@@ -102,7 +130,7 @@ def test_data_driven_branches():
     assert counts[odd] == int((data != 0).sum())
 
 
-def test_indirect_call_dispatch():
+def test_indirect_call_dispatch(run):
     b = ProgramBuilder("t", data=np.asarray([0, 1, 2, 0, 1], dtype=np.int64))
     f = b.function("main")
     f.block("entry")
@@ -122,11 +150,11 @@ def test_indirect_call_dispatch():
         g.block("body")
         g.addi(10 + i, 10 + i, 1)
         g.ret()
-    result = run_program(b.build())
+    result = run(b.build())
     assert result.registers[10:13] == [2, 2, 1]
 
 
-def test_nested_calls():
+def test_nested_calls(run):
     b = ProgramBuilder("t")
     f = b.function("main")
     f.block("entry")
@@ -144,38 +172,38 @@ def test_nested_calls():
     inner.block("body")
     inner.addi(2, 2, 1)
     inner.ret()
-    result = run_program(b.build())
+    result = run(b.build())
     assert result.registers[1] == 2
     assert result.registers[2] == 1
 
 
-def test_ret_from_entry_halts():
+def test_ret_from_entry_halts(run):
     b = ProgramBuilder("t")
     f = b.function("main")
     f.block("entry")
     f.addi(0, 0, 1)
     f.ret()
-    result = run_program(b.build())
+    result = run(b.build())
     assert result.blocks_executed == 1
 
 
-def test_fuel_exhaustion():
+def test_fuel_exhaustion(run):
     b = ProgramBuilder("t")
     f = b.function("main")
     f.block("spin")
     f.nop()
     f.jmp("spin")
     with pytest.raises(ExecutionError, match="fuel"):
-        run_program(b.build(), fuel=100)
+        run(b.build(), fuel=100)
 
 
-def test_bad_register_file_rejected():
+def test_bad_register_file_rejected(run):
     program = build_counted_loop(iterations=1)
     with pytest.raises(ExecutionError, match="register file"):
-        run_program(program, registers=[0] * 3)
+        run(program, registers=[0] * 3)
 
 
-def test_custom_initial_registers():
+def test_custom_initial_registers(run):
     b = ProgramBuilder("t")
     f = b.function("main")
     f.block("entry")
@@ -183,11 +211,11 @@ def test_custom_initial_registers():
     f.halt()
     regs = [0] * NUM_REGISTERS
     regs[0] = 37
-    result = run_program(b.build(), registers=regs)
+    result = run(b.build(), registers=regs)
     assert result.registers[1] == 42
 
 
-def test_program_data_not_mutated():
+def test_program_data_not_mutated(run):
     data = np.asarray([1, 2, 3], dtype=np.int64)
     b = ProgramBuilder("t", data=data)
     f = b.function("main")
@@ -197,15 +225,15 @@ def test_program_data_not_mutated():
     f.store(0, 1)
     f.halt()
     program = b.build()
-    result = run_program(program)
+    result = run(program)
     assert result.data[0] == 99
     assert program.data[0] == 1  # the program's copy is untouched
 
 
-def test_deterministic_across_runs():
+def test_deterministic_across_runs(run):
     program = build_branchy(iterations=32, seed=11)
-    a = run_program(program)
-    b = run_program(program)
+    a = run(program)
+    b = run(program)
     assert (a.block_seq == b.block_seq).all()
 
 
@@ -269,10 +297,11 @@ def test_step_memo_keeps_data_lengths_apart():
 
 # -- steps instantiated from shape templates -----------------------------------
 #
-# Both drivers run the steps compile_block makes, so the engine differential
-# cannot see a wrong one. The oracle here compiles each block straight from
-# its own source, with every operand written as a literal: the per-block
-# code generation the shape templates replaced, kept verbatim.
+# The oracle here compiles each block straight from its own source, with
+# every operand written as a literal: the per-block code generation the shape
+# templates replaced, kept verbatim. It pins the steps' bytecode; the engine
+# differential (tests/cpu/test_fastengine.py) checks what they compute
+# against the plain interpreter.
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 _I64_MIN = -(1 << 63)

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.errors import PMUConfigError
@@ -59,6 +58,16 @@ def test_visible_stall_subtracts_hiding():
 def test_invalid_retire_width_rejected():
     with pytest.raises(PMUConfigError, match="retire_width"):
         dataclasses.replace(IVY_BRIDGE, retire_width=0)
+
+
+@pytest.mark.parametrize("depth", [1, -1])
+def test_lbr_depth_that_holds_no_segment_rejected(depth):
+    """A one-entry LBR would pass ``has_lbr`` and then fail every LBR
+    collection; it is refused when the machine is made."""
+    with pytest.raises(PMUConfigError, match="lbr_depth"):
+        dataclasses.replace(IVY_BRIDGE, lbr_depth=depth)
+    for ok in (0, 2):
+        assert dataclasses.replace(IVY_BRIDGE, lbr_depth=ok).lbr_depth == ok
 
 
 def test_missing_latency_class_rejected():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.cpu.fastengine as fastengine
+import repro.cpu.engine as engine
 import repro.cpu.interpreter as interpreter
 import repro.workloads.apps.generator as generator
 from repro.errors import WorkloadError
@@ -74,15 +74,14 @@ def test_calibration_hits_target():
 
 @pytest.mark.parametrize("name", sorted(APP_PROFILES))
 def test_build_app_emits_once_and_never_runs_the_oracle(name, monkeypatch):
-    """The pilot runs on the fast engine over the final program's own work
-    functions; the built program equals a fresh emission at its outer count."""
+    """The pilot runs on the product's driver over the final program's own
+    work functions; the built program equals a fresh emission at its outer
+    count."""
     def refuse(*_args, **_kwargs):
-        raise AssertionError("build_app ran the reference interpreter")
+        raise AssertionError("build_app ran the oracle interpreter")
 
-    monkeypatch.setattr(interpreter, "run_program", refuse)
-    monkeypatch.setattr(interpreter, "_run_program", refuse)
-    monkeypatch.setattr(fastengine, "_run_program", refuse)
-    assert not hasattr(generator, "run_program")
+    monkeypatch.setattr(engine, "interpret", refuse)
+    assert generator.run_program is interpreter.run_program
     profile = APP_PROFILES[name]
     structure = generate_structure(profile, seed=1234)
     for scale in (0.05, 1.0):
