@@ -26,10 +26,14 @@ from repro.cpu.interpreter import compile_block, run_program
 from tests.conftest import build_branchy, build_call_pair, build_counted_loop
 
 
-@pytest.fixture(params=[run_program, interpret], ids=["driver", "oracle"])
-def run(request):
-    """Each driver in turn: the product's and the oracle."""
-    return request.param
+def _on_both_drivers(test):
+    """Run ``test(run)`` with the product's driver, then with the oracle,
+    as one test under ``test``'s own name."""
+    def on_both():
+        for run in (run_program, interpret):
+            test(run)
+    on_both.__doc__ = test.__doc__
+    return on_both
 
 
 def _run_single_block(run, emit):
@@ -42,6 +46,7 @@ def _run_single_block(run, emit):
     return run(b.build()).registers
 
 
+@_on_both_drivers
 def test_arithmetic_semantics(run):
     regs = _run_single_block(run, lambda f: (
         f.li(0, 10), f.li(1, 3),
@@ -62,6 +67,7 @@ def test_arithmetic_semantics(run):
     assert regs[2:15] == [13, 7, 30, 3, 1, 2, 11, 9, 12, 5, 6, 6, 10]
 
 
+@_on_both_drivers
 def test_negative_operands_floor_and_keep_sign(run):
     regs = _run_single_block(run, lambda f: (
         f.li(0, -7), f.li(1, 2), f.li(2, -3),
@@ -78,6 +84,7 @@ def test_negative_operands_floor_and_keep_sign(run):
                           (1 << 64) - 14]
 
 
+@_on_both_drivers
 def test_divide_by_zero_yields_zero(run):
     regs = _run_single_block(run, lambda f: (
         f.li(0, 10), f.li(1, 0), f.div(2, 0, 1)
@@ -85,6 +92,7 @@ def test_divide_by_zero_yields_zero(run):
     assert regs[2] == 0
 
 
+@_on_both_drivers
 def test_loads_and_stores(run):
     b = ProgramBuilder("t", data=np.asarray([5, 6, 7, 8], dtype=np.int64))
     f = b.function("main")
@@ -102,6 +110,7 @@ def test_loads_and_stores(run):
     assert result.data[2] == 8
 
 
+@_on_both_drivers
 def test_loop_iteration_count(run):
     program = build_counted_loop(iterations=37, body_pad=2)
     result = run(program)
@@ -109,6 +118,7 @@ def test_loop_iteration_count(run):
     assert int((result.block_seq == head).sum()) == 37
 
 
+@_on_both_drivers
 def test_call_and_return_sequence(run):
     program = build_call_pair(iterations=5)
     result = run(program)
@@ -119,6 +129,7 @@ def test_call_and_return_sequence(run):
     assert result.block_seq[-1] == program.block("main.exit").index
 
 
+@_on_both_drivers
 def test_data_driven_branches(run):
     program = build_branchy(iterations=16, seed=3)
     result = run(program)
@@ -130,6 +141,7 @@ def test_data_driven_branches(run):
     assert counts[odd] == int((data != 0).sum())
 
 
+@_on_both_drivers
 def test_indirect_call_dispatch(run):
     b = ProgramBuilder("t", data=np.asarray([0, 1, 2, 0, 1], dtype=np.int64))
     f = b.function("main")
@@ -154,6 +166,7 @@ def test_indirect_call_dispatch(run):
     assert result.registers[10:13] == [2, 2, 1]
 
 
+@_on_both_drivers
 def test_nested_calls(run):
     b = ProgramBuilder("t")
     f = b.function("main")
@@ -177,6 +190,7 @@ def test_nested_calls(run):
     assert result.registers[2] == 1
 
 
+@_on_both_drivers
 def test_ret_from_entry_halts(run):
     b = ProgramBuilder("t")
     f = b.function("main")
@@ -187,6 +201,7 @@ def test_ret_from_entry_halts(run):
     assert result.blocks_executed == 1
 
 
+@_on_both_drivers
 def test_fuel_exhaustion(run):
     b = ProgramBuilder("t")
     f = b.function("main")
@@ -197,12 +212,14 @@ def test_fuel_exhaustion(run):
         run(b.build(), fuel=100)
 
 
+@_on_both_drivers
 def test_bad_register_file_rejected(run):
     program = build_counted_loop(iterations=1)
     with pytest.raises(ExecutionError, match="register file"):
         run(program, registers=[0] * 3)
 
 
+@_on_both_drivers
 def test_custom_initial_registers(run):
     b = ProgramBuilder("t")
     f = b.function("main")
@@ -215,6 +232,7 @@ def test_custom_initial_registers(run):
     assert result.registers[1] == 42
 
 
+@_on_both_drivers
 def test_program_data_not_mutated(run):
     data = np.asarray([1, 2, 3], dtype=np.int64)
     b = ProgramBuilder("t", data=data)
@@ -230,6 +248,7 @@ def test_program_data_not_mutated(run):
     assert program.data[0] == 1  # the program's copy is untouched
 
 
+@_on_both_drivers
 def test_deterministic_across_runs(run):
     program = build_branchy(iterations=32, seed=11)
     a = run(program)
