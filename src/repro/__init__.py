@@ -86,7 +86,6 @@ from repro.api import (
     API_SCHEMA_VERSION,
     CACHE_STATS_SCHEMA_VERSION,
     CacheConfig,
-    CacheTier,
     CampaignResult,
     CampaignSpec,
     EvaluateRequest,
@@ -171,7 +170,6 @@ __all__ = [
     "CACHE_STATS_SCHEMA_VERSION",
     "ArtifactCache",
     "CacheConfig",
-    "CacheTier",
     "TierStats",
     "CellSpec",
     "EvaluateRequest",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -51,7 +50,6 @@ from repro.core.cache import (
     ArtifactCache,
     CacheConfig,
     CacheStats,
-    CacheTier,
     TierStats,
     resolve_cache,
 )
@@ -66,6 +64,7 @@ from repro.core.tables import (
 )
 from repro.fidelity.metrics import TOP_N_DEFAULT
 from repro.fidelity.stats import FidelityStats
+from repro.obs import write_atomic
 from repro.sweep import (
     CampaignResult,
     CampaignSpec,
@@ -82,7 +81,6 @@ __all__ = [
     "ArtifactCache",
     "CacheConfig",
     "CacheStats",
-    "CacheTier",
     "CampaignResult",
     "CampaignSpec",
     "CellSpec",
@@ -95,18 +93,14 @@ __all__ = [
     "Harness",
     "TableResult",
     "TierStats",
-    "compare_bench",
     "evaluate_cell",
     "evaluate_request",
-    "load_bench",
     "load_campaign",
     "load_table",
     "run_campaign",
     "run_fidelity",
-    "run_hammer",
     "run_table1",
     "run_table2",
-    "save_bench",
     "save_table",
     "table_document",
     "table_from_document",
@@ -523,54 +517,11 @@ def save_table(table: TableResult, path: str | Path) -> Path:
     for downstream analysis), this keeps the raw per-seed errors so
     :func:`load_table` round-trips the table exactly.  Written atomically.
     """
-    path = Path(path)
-    document = table_document(table)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, json.dumps(table_document(table), indent=2)
+                        + "\n")
 
 
 def load_table(path: str | Path) -> TableResult:
     """Reconstruct a :class:`TableResult` saved by :func:`save_table`."""
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     return table_from_document(document)
-
-
-# -- benchmarking facade ---------------------------------------------------
-#
-# repro.bench.hammer imports this module (it builds its load from
-# EvaluateRequest), so these wrappers import repro.bench lazily: the facade
-# stays one flat namespace without a circular import.
-
-
-def run_hammer(url: str, **kwargs):
-    """Load-test a running serve daemon; see
-    :func:`repro.bench.run_hammer`."""
-    from repro.bench import run_hammer as _run_hammer
-
-    return _run_hammer(url, **kwargs)
-
-
-def compare_bench(baseline, candidate, **kwargs):
-    """Gate a candidate bench result against a baseline; see
-    :func:`repro.bench.compare_bench`."""
-    from repro.bench import compare_bench as _compare_bench
-
-    return _compare_bench(baseline, candidate, **kwargs)
-
-
-def save_bench(result, where: str | Path) -> Path:
-    """Write a ``BENCH_<area>.json`` document; see
-    :func:`repro.bench.save_bench`."""
-    from repro.bench import save_bench as _save_bench
-
-    return _save_bench(result, where)
-
-
-def load_bench(path: str | Path):
-    """Read a ``BENCH_<area>.json`` document; see
-    :func:`repro.bench.load_bench`."""
-    from repro.bench import load_bench as _load_bench
-
-    return _load_bench(path)

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import BenchError
+from repro.obs import write_atomic
 
 #: On-disk bench document version.  Bumped whenever a field is added,
 #: removed, or changes meaning.
@@ -302,12 +303,8 @@ def save_bench(result: BenchResult, where: str | Path) -> Path:
     where = Path(where)
     path = (where / bench_filename(result.area)
             if where.is_dir() or not where.suffix else where)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=False)
-                   + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, json.dumps(result.to_dict(), indent=2,
+                                         sort_keys=False) + "\n")
 
 
 def load_bench(path: str | Path) -> BenchResult:

@@ -10,24 +10,28 @@ the result: workload, scale, uarch, method, period, seed range, plus the
 package version (:mod:`repro._version`) and the cache format version, so a
 code or format bump silently invalidates stale entries.
 
-Architecture: an :class:`ArtifactCache` is an ordered stack of
-:class:`CacheTier` instances, searched top-down on reads.  A hit at a lower
-tier is promoted into every tier above it; writes go to every tier.  The
-stock stack (built from a :class:`CacheConfig`) is:
+Architecture: an :class:`ArtifactCache` is a stack of tiers that only move
+raw entry bytes addressed by ``(kind, digest)``; the stack alone decides,
+counts and pins each lookup.  Built from a :class:`CacheConfig`, it is, top
+down:
 
 * :class:`MemoryTier` — optional in-process hot tier holding the working
   set's raw bytes *and* their decoded objects (traces are decoded from npz
   once and shared read-only across the serve daemon's worker threads).
   Budgeted by entry count (``hot_entries``), LRU-evicted.
 * :class:`DiskTier` — the persistent store.  Optionally budgeted by total
-  bytes (``max_bytes``) with LRU eviction; *pinned* entries (in-flight
-  cells, entries mid-``GET /v1/cache`` stream) are never evicted under
-  their readers.
+  bytes (``max_bytes``) with LRU eviction.
 * :class:`RemoteTier` — cache federation (DESIGN.md §10): the
   ``GET/PUT /v1/cache/<kind>/<digest>`` routes of a :mod:`repro.serve`
   daemon.  Remote hits are promoted into the local tiers, local writes are
   pushed best-effort, and a dead or slow remote degrades to a local cache,
   never an error.
+
+A lookup checks the hot tier's decoded memo, walks the tiers top-down
+(promoting a hit into every tier above it), decodes, and counts itself
+once; writes go to every tier.  *Pinned* entries (in-flight cells, entries
+mid-``GET /v1/cache`` stream) sit in one refcount map owned by the stack,
+which the budgeted tiers consult when they evict.
 
 Eviction is invisible to correctness by construction: an evicted entry is
 indistinguishable from one never cached, so a table built under a tiny
@@ -37,10 +41,10 @@ using, not to protect correctness.
 
 Design rules (unchanged from the single-tier store):
 
-* **Atomic writes** — a *uniquely named* temp file + ``os.replace``, so a
-  crashed run can never leave a truncated entry that looks valid and
-  concurrent writers can race on the same digest without ever observing
-  each other's partial bytes.
+* **Atomic writes** — a *uniquely named* temp file + ``os.replace``
+  (:func:`~repro.obs.manifest.write_atomic`), so a crashed run can never
+  leave a truncated entry that looks valid and concurrent writers can race
+  on the same digest without ever observing each other's partial bytes.
 * **Corruption tolerance** — any unreadable, unparsable, or wrong-shaped
   entry is treated as a miss (``cache.corrupt``), never an error.  An
   entry evicted (or half-deleted) under a concurrent reader is a miss.
@@ -48,9 +52,13 @@ Design rules (unchanged from the single-tier store):
   bumping :data:`CACHE_FORMAT_VERSION` orphans old entries rather than
   misreading them.
 
-Observability: the aggregate ``cache.{hits,misses,writes,corrupt}``
-counters are unchanged; every tier additionally feeds
-``cache.<tier>.{hits,misses,evictions}`` counters and
+Observability: each lookup adds one to ``cache.hits`` or ``cache.misses``
+(and to ``cache.corrupt`` when the bytes found do not decode), one to
+``cache.<tier>.hits`` for the tier that answered and one to
+``cache.<tier>.misses`` for every tier it passed.  So, by construction,
+``cache.hits + cache.corrupt`` is the sum of the tier hits and
+``cache.misses - cache.corrupt`` is the last tier's misses.  The budgeted
+tiers also feed ``cache.<tier>.evictions`` and the
 ``cache.<tier>.{bytes,entries}`` gauges into the :mod:`repro.obs` registry
 (rendered on the serve daemon's Prometheus ``/metrics``), and
 :meth:`ArtifactCache.stats` returns a per-tier breakdown
@@ -66,11 +74,10 @@ import json
 import os
 import re
 import shutil
-import tempfile
 import threading
 import urllib.error
 import urllib.request
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -80,6 +87,7 @@ import numpy as np
 from repro._version import __version__
 from repro.errors import RequestError
 from repro.obs import count, gauge
+from repro.obs.manifest import write_atomic
 
 #: Bumped whenever the on-disk serialization changes shape.
 CACHE_FORMAT_VERSION = 1
@@ -285,106 +293,17 @@ class CacheStats:
         }
 
 
-# -- the tier protocol ------------------------------------------------------
+# -- the tiers: byte stores -------------------------------------------------
+#
+# A tier's ``load`` returns an entry's bytes or ``None`` and never raises for
+# a missing, corrupt or concurrently evicted entry; its ``store`` is atomic
+# or best-effort; its ``stats`` snapshots occupancy.  The hit and miss
+# tallies of a TierStats are the stack's (ArtifactCache.stats fills them).
+# The budgeted tiers take the stack's pin map and lock: the lock guards
+# their books too, so a pin and an eviction never interleave.
 
 
-class CacheTier:
-    """One layer of an :class:`ArtifactCache` stack.
-
-    The formal contract extracted from the old private ``_load``/``_store``
-    hooks: a tier moves raw entry *bytes* addressed by ``(kind, digest)``
-    and knows nothing about formats — parsing, corruption-as-miss, and the
-    aggregate counters live in :class:`ArtifactCache` above.
-
-    Contract:
-
-    * :meth:`load` returns the entry bytes or ``None`` (miss); it must
-      never raise for a missing, corrupt, or concurrently-evicted entry.
-    * :meth:`store` is atomic-or-best-effort: readers never observe a
-      torn entry, and a failing backing store (a dead remote) degrades to
-      a no-op, never an error.
-    * :meth:`pin`/:meth:`unpin` bracket an in-flight reader; a budgeted
-      tier must not evict a pinned entry.  Pins are refcounted and may
-      address entries that do not exist (yet).
-    * :meth:`evict` removes one entry if present and unpinned; budgeted
-      tiers also evict autonomously to stay within budget.
-    * :meth:`stats` snapshots the tier's tallies without side effects.
-    """
-
-    #: Display name; also the obs namespace (``cache.<name>.*``).
-    name = "tier"
-    #: Whether the tier crosses the network (skipped by local-only reads).
-    remote = False
-
-    def load(self, kind: str, digest: str) -> bytes | None:
-        raise NotImplementedError
-
-    def store(self, kind: str, digest: str, data: bytes) -> None:
-        raise NotImplementedError
-
-    def contains(self, kind: str, digest: str) -> bool:
-        raise NotImplementedError
-
-    def evict(self, kind: str, digest: str) -> bool:
-        return False
-
-    def pin(self, kind: str, digest: str) -> None:
-        pass
-
-    def unpin(self, kind: str, digest: str) -> None:
-        pass
-
-    def stats(self) -> TierStats:
-        raise NotImplementedError
-
-    def refresh_gauges(self) -> None:
-        """Re-publish the tier's occupancy gauges to the obs registry."""
-        snapshot = self.stats()
-        gauge(f"cache.{self.name}.bytes", snapshot.bytes)
-        gauge(f"cache.{self.name}.entries", snapshot.entries)
-
-    # -- tally helpers -----------------------------------------------------
-
-    def _record_hit(self) -> None:
-        self._hits += 1
-        count(f"cache.{self.name}.hits")
-
-    def _record_miss(self) -> None:
-        self._misses += 1
-        count(f"cache.{self.name}.misses")
-
-    def _record_eviction(self, n: int = 1) -> None:
-        self._evictions += n
-        count(f"cache.{self.name}.evictions", n)
-
-
-class _PinBook:
-    """Refcounted pin bookkeeping shared by the budgeted tiers.
-
-    Callers must hold the owning tier's lock.
-    """
-
-    def __init__(self) -> None:
-        self._pins: dict[tuple[str, str], int] = {}
-
-    def pin(self, key: tuple[str, str]) -> None:
-        self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, key: tuple[str, str]) -> None:
-        remaining = self._pins.get(key, 0) - 1
-        if remaining <= 0:
-            self._pins.pop(key, None)
-        else:
-            self._pins[key] = remaining
-
-    def pinned(self, key: tuple[str, str]) -> bool:
-        return self._pins.get(key, 0) > 0
-
-    def __len__(self) -> int:
-        return len(self._pins)
-
-
-class MemoryTier(CacheTier):
+class MemoryTier:
     """In-process hot tier: entry-count-budgeted LRU over raw bytes plus
     their decoded objects.
 
@@ -400,26 +319,26 @@ class MemoryTier(CacheTier):
 
     name = "mem"
 
-    def __init__(self, max_entries: int) -> None:
+    def __init__(self, max_entries: int,
+                 pins: dict[tuple[str, str], int] | None = None,
+                 lock: threading.RLock | None = None) -> None:
         if max_entries < 1:
             raise RequestError("memory tier needs max_entries >= 1")
         self.max_entries = max_entries
-        self._lock = threading.RLock()
+        self._pins = {} if pins is None else pins
+        self._lock = threading.RLock() if lock is None else lock
         #: key -> [bytes, decoded | None]; insertion order is LRU order.
         self._entries: "OrderedDict[tuple[str, str], list]" = OrderedDict()
         self._bytes = 0
-        self._pin_book = _PinBook()
-        self._hits = self._misses = self._evictions = 0
+        self._evictions = 0
 
     def load(self, kind: str, digest: str) -> bytes | None:
         key = (kind, digest)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._record_miss()
                 return None
             self._entries.move_to_end(key)
-            self._record_hit()
             return entry[0]
 
     def store(self, kind: str, digest: str, data: bytes) -> None:
@@ -431,79 +350,55 @@ class MemoryTier(CacheTier):
             self._entries[key] = [data, None]
             self._bytes += len(data)
             self._enforce()
-            self._publish_gauges()
+            self.refresh_gauges()
 
-    def contains(self, kind: str, digest: str) -> bool:
-        with self._lock:
-            return (kind, digest) in self._entries
-
-    def evict(self, kind: str, digest: str) -> bool:
-        key = (kind, digest)
-        with self._lock:
-            if key not in self._entries or self._pin_book.pinned(key):
-                return False
-            self._bytes -= len(self._entries.pop(key)[0])
-            self._record_eviction()
-            self._publish_gauges()
-            return True
-
-    def pin(self, kind: str, digest: str) -> None:
-        with self._lock:
-            self._pin_book.pin((kind, digest))
-
-    def unpin(self, kind: str, digest: str) -> None:
-        with self._lock:
-            self._pin_book.unpin((kind, digest))
-            self._enforce()
-
-    # -- decoded-object memo ----------------------------------------------
-
-    def get_decoded(self, kind: str, digest: str) -> object | None:
-        """The decoded object of one entry, or ``None``.
-
-        A decoded hit counts as a tier hit (and refreshes recency); a
-        miss is silent — the byte-level :meth:`load` that follows does
-        the miss accounting, so one logical lookup never counts twice.
-        """
+    def decoded(self, kind: str, digest: str) -> object | None:
+        """The decoded object of one entry (refreshing its recency), or
+        ``None`` when the entry or its decoded form is absent."""
         key = (kind, digest)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry[1] is None:
                 return None
             self._entries.move_to_end(key)
-            self._record_hit()
             return entry[1]
 
-    def attach_decoded(self, kind: str, digest: str, obj: object) -> None:
+    def attach(self, kind: str, digest: str, obj: object) -> None:
         """Remember the decoded form of an already-stored entry."""
         with self._lock:
             entry = self._entries.get((kind, digest))
             if entry is not None:
                 entry[1] = obj
 
-    # -- internals ---------------------------------------------------------
+    def settle(self) -> None:
+        """Apply the budget again (a released pin may have held it over)."""
+        with self._lock:
+            self._enforce()
 
     def _enforce(self) -> None:
         # LRU sweep; pinned entries are skipped (the budget may overshoot
-        # while pins are held and is re-enforced at unpin).
+        # while pins are held and is settled when the last one goes).
         while len(self._entries) > self.max_entries:
             victim = next((key for key in self._entries
-                           if not self._pin_book.pinned(key)), None)
+                           if key not in self._pins), None)
             if victim is None:
                 return
             self._bytes -= len(self._entries.pop(victim)[0])
-            self._record_eviction()
+            self._evictions += 1
+            count("cache.mem.evictions")
 
-    def _publish_gauges(self) -> None:
-        gauge(f"cache.{self.name}.bytes", self._bytes)
-        gauge(f"cache.{self.name}.entries", len(self._entries))
+    def refresh_gauges(self) -> None:
+        """Publish the occupancy gauges to the obs registry."""
+        with self._lock:
+            gauge("cache.mem.bytes", self._bytes)
+            gauge("cache.mem.entries", len(self._entries))
 
     def stats(self) -> TierStats:
         with self._lock:
             return TierStats(
-                tier=self.name, hits=self._hits, misses=self._misses,
+                tier=self.name, hits=0, misses=0,
                 evictions=self._evictions, bytes=self._bytes,
-                entries=len(self._entries), pinned=len(self._pin_book),
+                entries=len(self._entries), pinned=len(self._pins),
                 max_entries=self.max_entries,
             )
 
@@ -511,17 +406,16 @@ class MemoryTier(CacheTier):
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self._publish_gauges()
+            self.refresh_gauges()
 
 
-class DiskTier(CacheTier):
+class DiskTier:
     """The persistent store, optionally byte-budgeted with LRU eviction.
 
-    Layout and atomicity are exactly the pre-tier store's: one file per
-    entry under ``<store_dir>/<kind>/<digest[:2]>/``, published with a
-    unique-temp-file + ``os.replace`` dance so concurrent writers (serve
-    worker threads, parallel table builds) can race on a digest without
-    ever exposing partial bytes.
+    One file per entry under ``<store_dir>/<kind>/<digest[:2]>/``,
+    published with :func:`~repro.obs.manifest.write_atomic` so concurrent
+    writers (serve worker threads, parallel table builds) can race on a
+    digest without ever exposing partial bytes.
 
     LRU accounting lives in memory, seeded lazily from one directory scan
     (mtime order) per process.  The accounting is advisory, not
@@ -529,93 +423,82 @@ class DiskTier(CacheTier):
     process's eviction, a manual ``rm``) simply loads as a miss and the
     books are repaired in place.  ``max_bytes=None`` disables eviction —
     the unbounded pre-tier behavior — and then nothing needs the books
-    until :meth:`stats`, :meth:`trim` or :meth:`evict` asks for them, so
-    entry traffic never walks the store; once seeded they are kept
-    current.
+    until :meth:`stats`, :meth:`trim` or :meth:`rescan` asks for them, so
+    entry traffic never walks the store; once seeded they are kept current
+    with this process's traffic, and :meth:`rescan` takes in what other
+    processes wrote or deleted.
     """
 
     name = "disk"
 
     def __init__(self, store_dir: str | Path,
-                 max_bytes: int | None = None) -> None:
+                 max_bytes: int | None = None,
+                 pins: dict[tuple[str, str], int] | None = None,
+                 lock: threading.RLock | None = None) -> None:
         self.store_dir = Path(store_dir)
         self.max_bytes = max_bytes
-        self._lock = threading.RLock()
+        self._dir = str(self.store_dir)
+        self._pins = {} if pins is None else pins
+        self._lock = threading.RLock() if lock is None else lock
         self._lru: "OrderedDict[tuple[str, str], int]" = OrderedDict()
         self._total = 0
         self._scanned = False
-        self._pin_book = _PinBook()
-        self._hits = self._misses = self._evictions = 0
+        self._evictions = 0
 
     def path(self, kind: str, digest: str) -> Path:
-        # Two-level fan-out keeps directories small at full scale.
-        return (self.store_dir / kind / digest[:2]
-                / f"{digest}{KIND_SUFFIXES[kind]}")
+        """Where one entry lives."""
+        return Path(self._file(kind, digest))
+
+    def _file(self, kind: str, digest: str) -> str:
+        # Two-level fan-out keeps directories small at full scale.  A plain
+        # string: lookups build one per call, and Path joins cost more
+        # than the read.
+        return f"{self._dir}/{kind}/{digest[:2]}/{digest}{KIND_SUFFIXES[kind]}"
 
     # -- entry traffic -----------------------------------------------------
 
     def load(self, kind: str, digest: str) -> bytes | None:
         key = (kind, digest)
         try:
-            data = self.path(kind, digest).read_bytes()
+            with open(self._file(kind, digest), "rb") as handle:
+                data = handle.read()
         except OSError:
-            with self._lock:
-                self._forget(key)
-                self._record_miss()
-            return None
+            data = None
+        # Unbounded and not yet seeded: there are no books to keep (a scan
+        # racing this read finds the file itself), so take no lock.
+        if self.max_bytes is None and not self._scanned:
+            return data
         with self._lock:
-            if self._keeps_books():
+            if data is None:
+                self._forget(key)
+            elif self._keeps_books():
                 self._account(key, len(data))
                 self._lru.move_to_end(key)
-            self._record_hit()
         return data
 
     def store(self, kind: str, digest: str, data: bytes) -> None:
-        self._write_atomic(self.path(kind, digest), data)
+        write_atomic(self.path(kind, digest), data)
         count("cache.writes")
         with self._lock:
             if self._keeps_books():
                 self._account(key := (kind, digest), len(data))
                 self._lru.move_to_end(key)
                 self._enforce()
-                self._publish_gauges()
-
-    def contains(self, kind: str, digest: str) -> bool:
-        return self.path(kind, digest).is_file()
-
-    def evict(self, kind: str, digest: str) -> bool:
-        key = (kind, digest)
-        with self._lock:
-            self._ensure_scanned()
-            if self._pin_book.pinned(key):
-                return False
-            present = key in self._lru or self.contains(kind, digest)
-            if not present:
-                return False
-            self._delete(key)
-            self._record_eviction()
-            self._publish_gauges()
-            return True
-
-    def pin(self, kind: str, digest: str) -> None:
-        with self._lock:
-            self._pin_book.pin((kind, digest))
-
-    def unpin(self, kind: str, digest: str) -> None:
-        with self._lock:
-            self._pin_book.unpin((kind, digest))
-            # Pins may have carried the tier over budget; settle up now.
-            if self._scanned:
-                self._enforce()
-                self._publish_gauges()
+                self.refresh_gauges()
 
     def trim(self) -> int:
         """Enforce the budget once, now; returns entries evicted."""
         with self._lock:
             self._ensure_scanned()
             evicted = self._enforce()
-            self._publish_gauges()
+            self.refresh_gauges()
             return evicted
+
+    def settle(self) -> None:
+        """Apply the budget again (a released pin may have held it over);
+        before the books exist there is nothing to settle."""
+        if self._scanned:
+            self.trim()
 
     # -- accounting --------------------------------------------------------
 
@@ -628,11 +511,17 @@ class DiskTier(CacheTier):
         return self._scanned
 
     def _ensure_scanned(self) -> None:
-        if self._scanned:
-            return
-        self._scanned = True
+        if not self._scanned:
+            self.rescan()
+
+    def rescan(self) -> None:
+        """Reconcile the books with one walk of the store: entries found
+        there join them (a fresh process books pre-existing entries as
+        least-recently used in their on-disk age order) and entries gone
+        from it leave; booked entries keep their recency."""
         found: list[tuple[float, tuple[str, str], int]] = []
-        if self.store_dir.is_dir():
+        with self._lock:
+            self._scanned = True
             for kind, suffix in KIND_SUFFIXES.items():
                 kind_dir = self.store_dir / kind
                 if not kind_dir.is_dir():
@@ -647,12 +536,13 @@ class DiskTier(CacheTier):
                         continue
                     found.append((stat.st_mtime, (kind, digest),
                                   stat.st_size))
-        # Oldest first: a fresh process treats pre-existing entries as
-        # least-recently used in their on-disk age order.
-        for _, key, size in sorted(found, key=lambda item: item[0]):
-            if key not in self._lru:
-                self._lru[key] = size
-                self._total += size
+            for _, key, size in sorted(found, key=lambda item: item[0]):
+                if key not in self._lru:
+                    self._lru[key] = size
+                    self._total += size
+            present = {key for _, key, _ in found}
+            for key in [key for key in self._lru if key not in present]:
+                self._forget(key)
 
     def _account(self, key: tuple[str, str], size: int) -> None:
         previous = self._lru.get(key)
@@ -666,11 +556,6 @@ class DiskTier(CacheTier):
         if size is not None:
             self._total -= size
 
-    def _delete(self, key: tuple[str, str]) -> None:
-        self._forget(key)
-        with contextlib.suppress(OSError):
-            os.unlink(self.path(*key))
-
     def _enforce(self) -> int:
         if self.max_bytes is None:
             return 0
@@ -678,76 +563,58 @@ class DiskTier(CacheTier):
         for key in list(self._lru):           # oldest (LRU) first
             if self._total <= self.max_bytes:
                 break
-            if self._pin_book.pinned(key):
+            if key in self._pins:
                 continue
-            self._delete(key)
+            self._forget(key)
+            with contextlib.suppress(OSError):
+                os.unlink(self._file(*key))
             evicted += 1
         if evicted:
-            self._record_eviction(evicted)
+            self._evictions += evicted
+            count("cache.disk.evictions", evicted)
         return evicted
 
-    def _publish_gauges(self) -> None:
-        gauge(f"cache.{self.name}.bytes", self._total)
-        gauge(f"cache.{self.name}.entries", len(self._lru))
-
-    def _write_atomic(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # The temp name must be unique per writer: a fixed ".tmp" suffix
-        # lets two threads/processes storing the same digest interleave
-        # write and rename, publishing a torn entry.  mkstemp gives each
-        # writer a private file in the target directory (same filesystem,
-        # so the final os.replace stays atomic).
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+    def refresh_gauges(self) -> None:
+        """Publish the occupancy gauges to the obs registry."""
+        with self._lock:
+            self._ensure_scanned()
+            gauge("cache.disk.bytes", self._total)
+            gauge("cache.disk.entries", len(self._lru))
 
     def stats(self) -> TierStats:
         with self._lock:
             self._ensure_scanned()
             return TierStats(
-                tier=self.name, hits=self._hits, misses=self._misses,
+                tier=self.name, hits=0, misses=0,
                 evictions=self._evictions, bytes=self._total,
-                entries=len(self._lru), pinned=len(self._pin_book),
+                entries=len(self._lru), pinned=len(self._pins),
                 max_bytes=self.max_bytes,
             )
 
-    def reset_accounting(self) -> None:
-        """Drop the in-memory books (after an external clear)."""
+    def by_kind(self) -> dict[str, int]:
+        """Entries per kind, from the books."""
         with self._lock:
-            self._lru.clear()
-            self._total = 0
-            self._scanned = False
+            self._ensure_scanned()
+            return dict(Counter(kind for kind, _ in self._lru))
 
 
-class RemoteTier(CacheTier):
+class RemoteTier:
     """Cache federation as a tier: a serve daemon's ``/v1/cache`` routes.
 
     ``remote_url`` is the base URL of a :mod:`repro.serve` daemon.  Every
     body travels with its SHA-256 in the ``X-Repro-Sha256`` header; a
-    missing or mismatched checksum is a miss (``cache.remote_corrupt``),
-    exactly like a corrupt local entry.  Writes are best-effort: a dead or
-    slow hub degrades the stack to a plain local cache, never an error.
-
-    Budgets, eviction, and pinning are the *hub's* concern — this tier is
-    a transport, so those methods are no-ops here.
+    missing or mismatched checksum loads as ``None``
+    (``cache.remote_corrupt``), like a 404 or a transport error
+    (``cache.remote_errors``).  Writes are best-effort: a dead or slow hub
+    degrades the stack to a plain local cache, never an error.  Budgets,
+    eviction and pinning are the *hub's* concern.
     """
 
     name = "remote"
-    remote = True
 
     def __init__(self, remote_url: str, timeout_s: float = 10.0) -> None:
         self.remote_url = remote_url.rstrip("/")
         self.timeout_s = timeout_s
-        self._hits = self._misses = self._evictions = 0
-        self._lock = threading.Lock()
 
     def _entry_url(self, kind: str, digest: str) -> str:
         return f"{self.remote_url}/v1/cache/{kind}/{digest}"
@@ -763,10 +630,7 @@ class RemoteTier(CacheTier):
                 checksum = response.headers.get(CHECKSUM_HEADER)
         except urllib.error.HTTPError as exc:
             exc.close()
-            if exc.code == 404:
-                count("cache.remote_misses")
-                self._tally_miss()
-            else:
+            if exc.code != 404:
                 count("cache.remote_errors")
             return None
         except (urllib.error.URLError, OSError, TimeoutError):
@@ -774,12 +638,7 @@ class RemoteTier(CacheTier):
             return None
         if checksum != body_sha256(data):
             count("cache.remote_corrupt")
-            self._tally_miss()
             return None
-        count("cache.remote_hits")
-        with self._lock:
-            self._hits += 1
-        count(f"cache.{self.name}.hits")
         return data
 
     def store(self, kind: str, digest: str, data: bytes) -> None:
@@ -802,45 +661,58 @@ class RemoteTier(CacheTier):
             return
         count("cache.remote_writes")
 
-    def contains(self, kind: str, digest: str) -> bool:
-        """Whether the hub holds the entry.  Transfers the body (the
-        federation routes have no HEAD); prefer :meth:`load`."""
-        return self.load(kind, digest) is not None
-
-    def _tally_miss(self) -> None:
-        with self._lock:
-            self._misses += 1
-        count(f"cache.{self.name}.misses")
-
     def stats(self) -> TierStats:
-        with self._lock:
-            return TierStats(
-                tier=self.name, hits=self._hits, misses=self._misses,
-                evictions=0, bytes=0, entries=0,
-            )
+        # A transport has no occupancy to report.
+        return TierStats(tier=self.name, hits=0, misses=0, evictions=0,
+                         bytes=0, entries=0)
 
-    def refresh_gauges(self) -> None:
-        pass                       # a transport has no occupancy to report
+
+# -- entry formats ----------------------------------------------------------
+#
+# Each decoder raises on bytes that are not a valid entry of its kind; the
+# lookup turns that into a corrupt miss.
+
+
+def _decode_stats(data: bytes):
+    from repro.core.stats import AccuracyStats  # lazy: keep import light
+
+    document = json.loads(data.decode("utf-8"))
+    if document["format"] != CACHE_FORMAT_VERSION:
+        raise ValueError("format mismatch")
+    return AccuracyStats(
+        method=document["method"],
+        errors=tuple(float(e) for e in document["errors"]),
+    )
+
+
+def _decode_fidelity(data: bytes):
+    from repro.fidelity.stats import FidelityStats  # lazy: keep import light
+
+    document = json.loads(data.decode("utf-8"))
+    if document.pop("format") != CACHE_FORMAT_VERSION:
+        raise ValueError("format mismatch")
+    return FidelityStats.from_dict(document)
+
+
+def _decode_arrays(data: bytes) -> dict[str, np.ndarray]:
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 # -- the stack --------------------------------------------------------------
 
 
 class ArtifactCache:
-    """Content-addressed store for traces, references, and stats — an
-    ordered stack of :class:`CacheTier` layers.
+    """Content-addressed store for traces, references, and stats over a
+    stack of byte-moving tiers (``tiers``, highest first).
 
     All ``get_*`` methods return ``None`` on a miss *or* on a corrupt
-    entry; all ``put_*`` methods write atomically.  Hits, misses, writes,
-    and corrupt loads flow into the :mod:`repro.obs` counters
-    ``cache.hits`` / ``cache.misses`` / ``cache.writes`` /
-    ``cache.corrupt`` (one logical count per lookup, regardless of which
-    tier answered), and each tier keeps its own ``cache.<tier>.*``
-    tallies.
+    entry; all ``put_*`` methods write every tier.  Every ``get_*`` is one
+    lookup through :meth:`_get`, the single place that decides, promotes
+    and counts it; :meth:`pinned` keeps entries from budget eviction.
 
-    ``config`` (a :class:`CacheConfig`) shapes the stock stack; ``tiers``
-    substitutes an explicit stack (highest first) for tests and exotic
-    topologies.  The explicit ``root`` argument wins over ``config.root``.
+    ``config`` (a :class:`CacheConfig`) shapes the stack; the explicit
+    ``root`` argument wins over ``config.root``.
     """
 
     def __init__(
@@ -848,30 +720,36 @@ class ArtifactCache:
         root: str | Path | None = None,
         *,
         config: CacheConfig | None = None,
-        tiers: "tuple[CacheTier, ...] | list[CacheTier] | None" = None,
     ) -> None:
-        self.config = config or CacheConfig()
-        if root is None and self.config.root:
-            root = self.config.root
+        self.config = config = config or CacheConfig()
+        if root is None and config.root:
+            root = config.root
         #: The user-facing root (version directory lives below it).
         self.root = Path(root).expanduser() if root else default_cache_root()
         self.store_dir = self.root / f"v{CACHE_FORMAT_VERSION}"
-        if tiers is None:
-            tiers = []
-            if self.config.hot_entries > 0:
-                tiers.append(MemoryTier(self.config.hot_entries))
-            tiers.append(DiskTier(self.store_dir,
-                                  max_bytes=self.config.max_bytes))
-            if self.config.remote:
-                tiers.append(RemoteTier(
-                    self.config.remote,
-                    timeout_s=self.config.remote_timeout_s,
-                ))
-        self.tiers: tuple[CacheTier, ...] = tuple(tiers)
-        self._memory = next(
-            (t for t in self.tiers if isinstance(t, MemoryTier)), None)
-        self._disk = next(
-            (t for t in self.tiers if isinstance(t, DiskTier)), None)
+        #: Guards the pin map, the lookup tallies and the local tiers' books.
+        self._lock = threading.RLock()
+        #: (kind, digest) -> pin refcount; a pinned entry is never evicted.
+        self._pins: dict[tuple[str, str], int] = {}
+        self._memory = None
+        if config.hot_entries > 0:
+            self._memory = MemoryTier(config.hot_entries, self._pins,
+                                      self._lock)
+        self._disk = DiskTier(self.store_dir, config.max_bytes, self._pins,
+                              self._lock)
+        #: The tiers a federation read or write may touch (never a remote).
+        self._local = ((self._disk,) if self._memory is None
+                       else (self._memory, self._disk))
+        self.tiers = self._local
+        if config.remote:
+            self.tiers += (RemoteTier(config.remote,
+                                      timeout_s=config.remote_timeout_s),)
+        self._hits = [0] * len(self.tiers)
+        self._misses = [0] * len(self.tiers)
+        self._hit_counters = [f"cache.{tier.name}.hits"
+                              for tier in self.tiers]
+        self._miss_counters = [f"cache.{tier.name}.misses"
+                               for tier in self.tiers]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         stack = "+".join(tier.name for tier in self.tiers)
@@ -882,73 +760,103 @@ class ArtifactCache:
         the picklable form the parallel scheduler ships to workers."""
         return replace(self.config, root=str(self.root))
 
-    # -- tier traversal ----------------------------------------------------
+    # -- the lookup --------------------------------------------------------
 
-    def _load(self, kind: str, digest: str,
-              local_only: bool = False) -> bytes | None:
-        """Walk the stack top-down; promote a hit into the tiers above."""
-        for index, tier in enumerate(self.tiers):
-            if local_only and tier.remote:
-                continue
+    @staticmethod
+    def _walk(kind: str, digest: str,
+              tiers: tuple) -> tuple[int, bytes | None]:
+        """The first of ``tiers`` holding the entry and its bytes, promoted
+        into every tier above it; ``(len(tiers), None)`` when none does."""
+        for index, tier in enumerate(tiers):
             data = tier.load(kind, digest)
+            if data is not None:
+                for upper in tiers[:index]:
+                    upper.store(kind, digest, data)
+                return index, data
+        return len(tiers), None
+
+    def _get(self, kind: str, digest: str, decode,
+             names: tuple[str, ...] = ()):
+        """The one counted lookup behind every ``get_*`` method.
+
+        Checks the hot tier's decoded memo, then walks the tiers; decodes
+        the bytes found with ``decode`` (anything it raises, or a decoded
+        bundle lacking one of ``names``, makes a corrupt miss); remembers
+        the decoded object in the hot tier; and books the lookup here and
+        nowhere else.  Returns the decoded object or ``None``.
+        """
+        memory = self._memory
+        obj = None if memory is None else memory.decoded(kind, digest)
+        if obj is None:
+            answered, data = self._walk(kind, digest, self.tiers)
+        else:
+            answered, data = 0, None
+        with self._lock:
+            for index in range(answered):
+                self._misses[index] += 1
+                count(self._miss_counters[index])
+            if obj is not None or data is not None:
+                self._hits[answered] += 1
+                count(self._hit_counters[answered])
+        if obj is None:
             if data is None:
-                continue
-            for upper in self.tiers[:index]:
-                upper.store(kind, digest, data)
-            return data
-        return None
-
-    def _store(self, kind: str, digest: str, data: bytes,
-               local_only: bool = False) -> None:
-        """Write one entry into every tier."""
-        for tier in self.tiers:
-            if local_only and tier.remote:
-                continue
-            tier.store(kind, digest, data)
-
-    def _decoded(self, kind: str, digest: str) -> object | None:
-        if self._memory is None:
-            return None
-        return self._memory.get_decoded(kind, digest)
-
-    def _attach_decoded(self, kind: str, digest: str, obj: object) -> None:
-        if self._memory is not None:
-            self._memory.attach_decoded(kind, digest, obj)
-
-    def _hit(self) -> None:
-        count("cache.hits")
-
-    def _miss(self, corrupt: bool = False) -> None:
-        count("cache.misses")
-        if corrupt:
+                count("cache.misses")
+                return None
+            try:
+                obj = decode(data)
+            except Exception:  # any undecodable entry is a miss, not an error
+                obj = None
+        if obj is None or (names and not all(n in obj for n in names)):
+            count("cache.misses")
             count("cache.corrupt")
+            return None
+        if data is not None and memory is not None:
+            memory.attach(kind, digest, obj)
+        count("cache.hits")
+        return obj
+
+    def _put(self, kind: str, digest: str, data: bytes, obj: object) -> None:
+        """Write one entry into every tier; remember its decoded form."""
+        for tier in self.tiers:
+            tier.store(kind, digest, data)
+        if self._memory is not None:
+            self._memory.attach(kind, digest, obj)
 
     # -- pinning -----------------------------------------------------------
 
     @contextlib.contextmanager
-    def pin_entry(self, kind: str, digest: str) -> Iterator[None]:
-        """Pin one entry in every tier for the duration of the block.
+    def pinned(self, *addresses: tuple[str, str]) -> Iterator[None]:
+        """Pin ``(kind, digest)`` entries for the duration of the block.
 
         Pinned entries survive budget eviction, so an in-flight reader — a
         cell mid-evaluation, a federation ``GET`` mid-stream — never has
         the ground pulled from under it.  Pinning an absent entry is
-        allowed (it protects the store that follows).
+        allowed (it protects the store that follows).  Releasing the last
+        pin on an entry settles the budgets it held over.
         """
-        for tier in self.tiers:
-            tier.pin(kind, digest)
+        pins = self._pins
+        with self._lock:
+            for key in addresses:
+                pins[key] = pins.get(key, 0) + 1
         try:
             yield
         finally:
-            for tier in self.tiers:
-                tier.unpin(kind, digest)
+            released = False
+            with self._lock:
+                for key in addresses:
+                    left = pins[key] - 1
+                    if left:
+                        pins[key] = left
+                    else:
+                        del pins[key]
+                        released = True
+            if released:
+                for tier in self._local:
+                    tier.settle()
 
-    @contextlib.contextmanager
-    def pinned(self, *addresses: tuple[str, str]) -> Iterator[None]:
-        """Pin several ``(kind, digest)`` entries at once."""
-        with contextlib.ExitStack() as stack:
-            for kind, digest in addresses:
-                stack.enter_context(self.pin_entry(kind, digest))
-            yield
+    def pin_entry(self, kind: str, digest: str):
+        """Pin one entry for the duration of a ``with`` block."""
+        return self.pinned((kind, digest))
 
     # -- federation entry access (the serve daemon's cache routes) ---------
 
@@ -957,11 +865,12 @@ class ArtifactCache:
 
         Always answers from the local tiers (never a remote one), so
         federated daemons cannot loop through each other.  Unknown kinds
-        and malformed digests are ``None``, as is a missing entry.
+        and malformed digests are ``None``, as is a missing entry.  Not a
+        lookup: the hub counts what it serves (``serve.cache_entries_served``).
         """
         if not valid_entry_address(kind, digest):
             return None
-        return self._load(kind, digest, local_only=True)
+        return self._walk(kind, digest, self._local)[1]
 
     def write_entry(self, kind: str, digest: str, data: bytes) -> bool:
         """Store raw entry bytes for ``PUT /v1/cache/…`` (atomic).
@@ -973,37 +882,15 @@ class ArtifactCache:
         """
         if not valid_entry_address(kind, digest):
             return False
-        self._store(kind, digest, data, local_only=True)
+        for tier in self._local:
+            tier.store(kind, digest, data)
         return True
 
     # -- accuracy stats ----------------------------------------------------
 
     def get_stats(self, digest: str):
         """Load one cell's :class:`AccuracyStats`, or ``None`` on a miss."""
-        from repro.core.stats import AccuracyStats  # lazy: keep import light
-
-        decoded = self._decoded("stats", digest)
-        if decoded is not None:
-            self._hit()
-            return decoded
-        data = self._load("stats", digest)
-        if data is None:
-            self._miss()
-            return None
-        try:
-            document = json.loads(data.decode("utf-8"))
-            if document["format"] != CACHE_FORMAT_VERSION:
-                raise ValueError("format mismatch")
-            stats = AccuracyStats(
-                method=document["method"],
-                errors=tuple(float(e) for e in document["errors"]),
-            )
-        except Exception:
-            self._miss(corrupt=True)
-            return None
-        self._attach_decoded("stats", digest, stats)
-        self._hit()
-        return stats
+        return self._get("stats", digest, _decode_stats)
 
     def put_stats(self, digest: str, stats) -> None:
         """Persist one cell's :class:`AccuracyStats`."""
@@ -1012,40 +899,20 @@ class ArtifactCache:
             "method": stats.method,
             "errors": list(stats.errors),
         }
-        self._store("stats", digest, json.dumps(document).encode("utf-8"))
-        self._attach_decoded("stats", digest, stats)
+        self._put("stats", digest, json.dumps(document).encode("utf-8"),
+                  stats)
 
     # -- fidelity stats ----------------------------------------------------
 
     def get_fidelity(self, digest: str):
         """Load one cell's :class:`FidelityStats`, or ``None`` on a miss."""
-        from repro.fidelity.stats import FidelityStats  # lazy: keep import light
-
-        decoded = self._decoded("fidelity", digest)
-        if decoded is not None:
-            self._hit()
-            return decoded
-        data = self._load("fidelity", digest)
-        if data is None:
-            self._miss()
-            return None
-        try:
-            document = json.loads(data.decode("utf-8"))
-            if document.pop("format") != CACHE_FORMAT_VERSION:
-                raise ValueError("format mismatch")
-            stats = FidelityStats.from_dict(document)
-        except Exception:
-            self._miss(corrupt=True)
-            return None
-        self._attach_decoded("fidelity", digest, stats)
-        self._hit()
-        return stats
+        return self._get("fidelity", digest, _decode_fidelity)
 
     def put_fidelity(self, digest: str, stats) -> None:
         """Persist one cell's :class:`FidelityStats`."""
         document = {"format": CACHE_FORMAT_VERSION, **stats.to_dict()}
-        self._store("fidelity", digest, json.dumps(document).encode("utf-8"))
-        self._attach_decoded("fidelity", digest, stats)
+        self._put("fidelity", digest, json.dumps(document).encode("utf-8"),
+                  stats)
 
     # -- numpy arrays (traces, reference counts) ---------------------------
 
@@ -1059,68 +926,47 @@ class ArtifactCache:
         tier, the npz is decoded once and the arrays are shared across
         callers (read-only by convention).
         """
-        decoded = self._decoded(kind, digest)
-        if isinstance(decoded, dict) and all(n in decoded for n in names):
-            self._hit()
-            return {name: decoded[name] for name in names}
-        data = self._load(kind, digest)
-        if data is None:
-            self._miss()
+        arrays = self._get(kind, digest, _decode_arrays, names)
+        if arrays is None:
             return None
-        try:
-            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except Exception:
-            self._miss(corrupt=True)
-            return None
-        if any(name not in arrays for name in names):
-            self._miss(corrupt=True)
-            return None
-        self._attach_decoded(kind, digest, arrays)
-        self._hit()
         return {name: arrays[name] for name in names}
 
     def put_arrays(self, kind: str, digest: str, **arrays: np.ndarray) -> None:
         """Persist a named-array bundle (compressed npz)."""
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **arrays)
-        self._store(kind, digest, buffer.getvalue())
-        self._attach_decoded(kind, digest, dict(arrays))
+        self._put(kind, digest, buffer.getvalue(), dict(arrays))
 
     # -- maintenance -------------------------------------------------------
 
     def enforce_budget(self) -> int:
         """Apply the disk tier's byte budget once (``cache trim``);
         returns the number of entries evicted."""
-        return 0 if self._disk is None else self._disk.trim()
+        return self._disk.trim()
 
     def refresh_gauges(self) -> None:
-        """Re-publish every tier's occupancy gauges (scrape time)."""
-        for tier in self.tiers:
+        """Re-publish every local tier's occupancy gauges (scrape time)."""
+        for tier in self._local:
             tier.refresh_gauges()
 
     def stats(self) -> CacheStats:
-        """Entry counts and byte totals of the current format version,
-        plus the per-tier breakdown."""
-        entries = 0
-        total = 0
-        by_kind: dict[str, int] = {}
-        if self.store_dir.is_dir():
-            for kind_dir in sorted(self.store_dir.iterdir()):
-                if not kind_dir.is_dir():
-                    continue
-                for path in kind_dir.rglob("*"):
-                    if path.is_file() and not path.name.endswith(".tmp"):
-                        entries += 1
-                        total += path.stat().st_size
-                        by_kind[kind_dir.name] = \
-                            by_kind.get(kind_dir.name, 0) + 1
-        return CacheStats(root=str(self.root), entries=entries,
-                          total_bytes=total, by_kind=by_kind,
-                          tiers=tuple(tier.stats() for tier in self.tiers))
+        """Entry counts and byte totals of the current format version (the
+        disk tier's books, reconciled with the store first, so entries that
+        other processes wrote or deleted count), plus the per-tier
+        breakdown."""
+        self._disk.rescan()
+        with self._lock:
+            tallies = list(zip(self._hits, self._misses))
+        tiers = tuple(replace(tier.stats(), hits=hits, misses=misses)
+                      for tier, (hits, misses) in zip(self.tiers, tallies))
+        disk = tiers[self.tiers.index(self._disk)]
+        return CacheStats(root=str(self.root), entries=disk.entries,
+                          total_bytes=disk.bytes,
+                          by_kind=self._disk.by_kind(), tiers=tiers)
 
     def clear(self) -> int:
-        """Delete every entry (all format versions); returns entries removed."""
+        """Delete every entry (all format versions); returns the number of
+        current-version entries removed."""
         removed = self.stats().entries
         if self.root.is_dir():
             for child in self.root.iterdir():
@@ -1128,8 +974,7 @@ class ArtifactCache:
                     shutil.rmtree(child, ignore_errors=True)
         if self._memory is not None:
             self._memory.clear()
-        if self._disk is not None:
-            self._disk.reset_accounting()
+        self._disk.rescan()
         return removed
 
 

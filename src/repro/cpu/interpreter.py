@@ -298,8 +298,6 @@ _BASE_LANES = 1024
 #: long re-entry just ramps back up by doubling.
 _PROBE_LANES = 256
 
-_FAILED = object()
-
 
 class _ProgramArtifacts:
     """Compilation state for one program (weakly keyed, reused across runs)."""
@@ -314,8 +312,9 @@ class _ProgramArtifacts:
         self.kinds = [int(k) for k in tables.block_kind]
         self.conts = [int(c) for c in tables.fall_next]
         self.entry = program.function(program.entry).entry.index
-        self.hot = lanes.loop_header_candidates(program)
-        self.analyses: dict[int, object] = {}
+        #: Loop headers still worth an analysis attempt.
+        self.hot = set(lanes.loop_header_candidates(program))
+        self.analyses: dict[int, list] = {}
         self._stores: bool | None = None
         self._program = weakref.ref(program)
 
@@ -330,13 +329,9 @@ class _ProgramArtifacts:
         return self._stores
 
     def analysis_for(self, header: int, regs: list):
-        """A cached loop analysis valid at ``regs``, or None."""
-        slot = self.analyses.get(header)
-        if slot is _FAILED:
-            return None
-        if slot is None:
-            slot = []
-            self.analyses[header] = slot
+        """A cached loop analysis valid at ``regs``, or None.  A header
+        whose first analysis fails leaves :attr:`hot` for good."""
+        slot = self.analyses.setdefault(header, [])
         for an in slot:
             if an.valid_for(regs):
                 return an
@@ -350,7 +345,7 @@ class _ProgramArtifacts:
         an = lanes.analyze_loop(program, header, regs)
         if an is None:
             if not slot:
-                self.analyses[header] = _FAILED
+                self.hot.discard(header)
             return None
         slot.append(an)
         return an

@@ -89,6 +89,15 @@ class Microarchitecture:
             raise PMUConfigError(f"{self.name}: lbr_depth must be >= 0")
         if self.lbr_depth == 1:  # no segment fits: LBRFacility refuses it
             raise PMUConfigError(f"{self.name}: lbr_depth must be 0 or >= 2")
+        for delay in ("ooo_hide_cycles", "pmi_skid_cycles",
+                      "pmi_jitter_cycles", "pebs_arming_cycles",
+                      "mispredict_penalty_cycles", "ibs_arming_cycles",
+                      "ibs_flush_window"):
+            if getattr(self, delay) < 0:
+                raise PMUConfigError(f"{self.name}: {delay} must be >= 0")
+        if self.ibs_dispatch_group < 1:
+            raise PMUConfigError(
+                f"{self.name}: ibs_dispatch_group must be >= 1")
         missing = [lc for lc in LatencyClass if lc not in self.latency_cycles]
         if missing:
             raise PMUConfigError(

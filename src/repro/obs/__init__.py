@@ -55,6 +55,7 @@ from repro.obs.manifest import (
     build_manifest,
     git_describe,
     manifest_path_for,
+    write_atomic,
     write_manifest,
 )
 from repro.obs.log import Emitter, get_logger, setup_cli_logging
@@ -92,6 +93,7 @@ __all__ = [
     "build_manifest",
     "git_describe",
     "manifest_path_for",
+    "write_atomic",
     "write_manifest",
     # logging
     "Emitter",

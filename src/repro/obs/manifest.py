@@ -3,17 +3,20 @@
 A manifest is the auditable sibling of a results artifact: what produced
 the numbers (package version, git describe, python/platform), with which
 knobs (scale, repeats, seeds, machines), how long each phase took, and
-what the pipeline counters saw. Written atomically (temp file + rename)
-so a crashed run can never leave a truncated manifest that looks valid.
+what the pipeline counters saw. Written atomically (temp file + rename,
+:func:`write_atomic`) so a crashed run can never leave a truncated
+manifest that looks valid.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any
@@ -89,13 +92,37 @@ def manifest_path_for(artifact_path: str | Path) -> Path:
     return Path(artifact_path).with_suffix(".meta.json")
 
 
+def write_atomic(path: str | Path, data: bytes | str) -> Path:
+    """Publish ``data`` (``str`` is written as UTF-8) at ``path``,
+    creating its directory; returns the final path.
+
+    Readers see the old document or the new one, never a torn one.  The
+    temp name must be unique per writer: with a fixed ``.tmp`` suffix, two
+    threads or processes writing one path share the temp file, and one
+    renames it away under the other.  ``mkstemp`` gives each writer a
+    private file in the target directory (same filesystem, so the final
+    ``os.replace`` stays atomic).
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                                    dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
 def write_manifest(path: str | Path, manifest: dict[str, Any]) -> Path:
     """Atomically write a manifest as JSON; returns the final path."""
-    path = Path(path)
     text = json.dumps(manifest, indent=2, sort_keys=False,
                       default=lambda v: v.item() if hasattr(v, "item")
                       else str(v))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_atomic(path, text + "\n")

@@ -329,7 +329,8 @@ class FastSampler:
                         0, uarch.pmi_jitter_cycles,
                         size=delivery.shape, dtype=np.int64,
                     )
-                reported = index.search(delivery, side="left")
+                reported = np.maximum(index.search(delivery, side="left"),
+                                      trigger + 1)
             elif precision is Precision.PEBS:
                 reported = index.search(
                     index.at(trigger) + uarch.pebs_arming_cycles,

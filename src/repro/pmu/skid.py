@@ -46,12 +46,17 @@ def deliver_imprecise(
 
     Returns
     -------
-    Reported trace indices (int64). Entries equal to ``len(retire_cycles)``
-    denote PMIs delivered after the program exited; callers drop them.
+    Reported trace indices (int64), each past its trigger: the interrupt
+    arrives after the overflowing instruction retired, so even a zero
+    delay reports the next one, never the trigger or an instruction of
+    its retirement group before it. Entries equal to
+    ``len(retire_cycles)`` denote PMIs delivered after the program
+    exited; callers drop them.
     """
     delivery = retire_cycles[trigger_idx] + skid_cycles
     if jitter_cycles > 0 and rng is not None:
         delivery = delivery + rng.integers(
             0, jitter_cycles, size=delivery.shape, dtype=np.int64
         )
-    return next_to_retire(retire_cycles, delivery)
+    return np.maximum(next_to_retire(retire_cycles, delivery),
+                      trigger_idx + 1)

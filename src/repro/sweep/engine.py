@@ -25,13 +25,12 @@ machine).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import SweepError
-from repro.obs import count, span
+from repro.obs import count, span, write_atomic
 from repro.core.cache import ArtifactCache
 from repro.core.experiment import CellScores, CellSpec, ExperimentConfig
 from repro.core.parallel import evaluate_cells
@@ -138,15 +137,8 @@ class CampaignResult:
 
     def save(self, path: str | Path) -> Path:
         """Atomically write the campaign document as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_document(), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
-        return path
+        return write_atomic(path,
+                            json.dumps(self.to_document(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignResult":

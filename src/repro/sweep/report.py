@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from pathlib import Path
 
+from repro.obs import write_atomic
 from repro.sweep.aggregate import (
     CurvePoint,
     fidelity_summary,
@@ -62,14 +62,6 @@ def _figure_block(curves: dict[str, list[CurvePoint]], x_label: str) -> str:
             )
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def _write_atomic(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
 
 
 def _csv_text(header: list[str], records: list[list[object]]) -> str:
@@ -228,15 +220,15 @@ def write_reports(result: CampaignResult, out_dir: str | Path) -> list[Path]:
     out_dir = Path(out_dir)
     report = CampaignReport(result)
     paths = [
-        _write_atomic(out_dir / "report.md", report.markdown()),
-        _write_atomic(out_dir / "summary.csv", report.summary_csv()),
-        _write_atomic(out_dir / "period_sensitivity.csv",
+        write_atomic(out_dir / "report.md", report.markdown()),
+        write_atomic(out_dir / "summary.csv", report.summary_csv()),
+        write_atomic(out_dir / "period_sensitivity.csv",
                       report.period_sensitivity_csv()),
-        _write_atomic(out_dir / "seed_convergence.csv",
+        write_atomic(out_dir / "seed_convergence.csv",
                       report.seed_convergence_csv()),
     ]
     if result.has_fidelity:
         paths.append(
-            _write_atomic(out_dir / "fidelity.csv", report.fidelity_csv())
+            write_atomic(out_dir / "fidelity.csv", report.fidelity_csv())
         )
     return paths

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import SweepError
+from repro.obs import write_atomic
 from repro.core.experiment import DEFAULT_MACHINES, CellSpec
 from repro.core.methods import METHOD_KEYS
 from repro.cpu.uarch import get_uarch
@@ -252,12 +252,7 @@ class CampaignSpec:
 
     def save(self, path: str | Path) -> Path:
         """Atomically write the spec as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(self.to_json(), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignSpec":

@@ -1,9 +1,9 @@
 """The tiered cache: CacheConfig, budgets, LRU eviction, pinning.
 
-DESIGN.md §12: an :class:`ArtifactCache` is an ordered stack of
-:class:`CacheTier` layers, and eviction under any budget must be invisible
-to correctness — an evicted entry is indistinguishable from one never
-cached.  These tests exercise the tier API directly (MemoryTier/DiskTier),
+DESIGN.md §12: an :class:`ArtifactCache` is an ordered stack of tiers that
+move bytes, and eviction under any budget must be invisible to
+correctness — an evicted entry is indistinguishable from one never
+cached.  These tests exercise the tiers directly (MemoryTier/DiskTier),
 the pressure invariants (pinned in-flight entries survive a full LRU
 sweep; concurrent readers race eviction safely), and the headline
 acceptance property: a table built under a tiny byte budget is
@@ -139,7 +139,7 @@ def test_memory_tier_serves_without_disk_reads(tmp_path):
     _disk_path(cache, "stats", digest).unlink()
     loaded = cache.get_stats(digest)
     assert loaded is not None and loaded.errors == (0.25,)
-    mem = cache.tiers[0].stats()
+    mem = cache.stats().tiers[0]
     assert mem.tier == "mem" and mem.hits >= 1
 
 
@@ -384,6 +384,23 @@ def test_disk_tier_seeds_accounting_from_existing_store(tmp_path):
     assert snapshot.entries == 5 and snapshot.bytes > 8192
     assert tier.trim() > 0
     assert tier.stats().bytes <= 8192
+
+
+def test_stats_count_what_other_writers_did(tmp_path):
+    """The stats come from the disk tier's books, reconciled with the
+    store on each call: entries another cache object (a pool worker, another
+    process) wrote or deleted since the books were seeded are counted."""
+    cache = ArtifactCache(tmp_path)
+    assert cache.stats().entries == 0              # seeds the books
+    other = ArtifactCache(tmp_path)
+    digests = _fill(other, 2)
+    assert cache.stats().entries == 2
+    assert cache.stats().by_kind == {"trace": 2}
+    _disk_path(other, "trace", digests[0]).unlink()
+    snapshot = cache.stats()
+    assert snapshot.entries == 1
+    assert snapshot.total_bytes == _disk_path(
+        other, "trace", digests[1]).stat().st_size
 
 
 def test_unbounded_disk_tier_answers_hits_without_listing_the_store(

@@ -24,6 +24,7 @@ from repro.core.cache import (
 from repro.core.stats import AccuracyStats
 from repro.obs import collecting
 from repro.serve import ProfilingServer, ServerConfig
+from repro.serve import server as server_module
 
 STATS = AccuracyStats(method="classic", errors=(1.0, 2.0, 3.0))
 
@@ -54,14 +55,14 @@ def test_remote_hit_is_written_through_locally(hub, tmp_path):
     with collecting() as collector:
         assert node.get_stats(digest) == STATS
     counters = collector.metrics.counters()
-    assert counters["cache.remote_hits"] == 1
+    assert counters["cache.remote.hits"] == 1
     assert counters["cache.hits"] == 1
 
     # Write-through: the second lookup never touches the network.
     with collecting() as collector:
         assert node.get_stats(digest) == STATS
     counters = collector.metrics.counters()
-    assert "cache.remote_hits" not in counters
+    assert "cache.remote.hits" not in counters
     assert counters["cache.hits"] == 1
 
 
@@ -70,7 +71,7 @@ def test_remote_miss_is_a_plain_miss(hub, tmp_path):
     with collecting() as collector:
         assert node.get_stats(cache_digest(cell="absent")) is None
     counters = collector.metrics.counters()
-    assert counters["cache.remote_misses"] == 1
+    assert counters["cache.remote.misses"] == 1
     assert counters["cache.misses"] == 1
 
 
@@ -127,7 +128,7 @@ def test_mismatched_transfer_checksum_is_a_miss(tmp_path):
             assert node.get_stats(cache_digest(cell="lied-about")) is None
         counters = collector.metrics.counters()
         assert counters["cache.remote_corrupt"] == 1
-        assert "cache.remote_hits" not in counters
+        assert "cache.remote.hits" not in counters
     finally:
         liar.shutdown()
         liar.server_close()
@@ -173,5 +174,61 @@ def test_warm_federated_run_evaluates_nothing(hub, tmp_path):
         served = api.evaluate_request(request, cache=node_b)
     counters = collector.metrics.counters()
     assert "harness.cells_evaluated" not in counters
-    assert counters["cache.remote_hits"] >= 1
+    assert counters["cache.remote.hits"] >= 1
     assert served.to_json() == warm.to_json()
+
+
+def test_each_lookup_is_counted_once(hub, tmp_path, monkeypatch):
+    """Every way a lookup can end, on a memory+disk+remote stack: the
+    totals follow from the per-tier counts, (i) hits + corrupt is the sum
+    of the tier hits and (ii) misses - corrupt is the last tier's misses,
+    ``cache.stats()`` reports the obs counters' per-tier numbers, and a
+    federation read counts nothing."""
+    root = tmp_path / "node"
+    node = CacheConfig(root=str(root), hot_entries=8, remote=hub.url).build()
+    local = ArtifactCache(root)               # the node's disk, no memory
+    memo, on_disk, on_hub, rotten, lied, absent = (
+        cache_digest(cell=name) for name in
+        ("memo", "disk", "hub", "rotten", "lied", "absent"))
+    node.put_stats(memo, STATS)               # decoded in memory
+    local.put_stats(on_disk, STATS)
+    hub.config.cache.put_stats(on_hub, STATS)
+    local.write_entry("stats", rotten, b"not json at all")
+    liar = AccuracyStats(method="classic", errors=(9.0,))
+    hub.config.cache.put_stats(lied, liar)
+    lied_body = hub.config.cache.read_entry("stats", lied)
+    real_sha256 = server_module.body_sha256
+    monkeypatch.setattr(
+        server_module, "body_sha256",
+        lambda data: "0" * 64 if data == lied_body else real_sha256(data))
+
+    with collecting() as collector:
+        assert node.get_stats(memo) == STATS          # memo hit
+        assert node.get_stats(on_disk) == STATS       # disk -> memory
+        assert node.get_stats(on_disk) == STATS       # now a memo hit
+        assert node.get_stats(on_hub) == STATS        # hub -> disk, memory
+        assert node.get_stats(on_hub) == STATS        # now a memo hit
+        assert node.get_stats(rotten) is None         # corrupt on disk
+        assert node.get_stats(lied) is None           # checksum mismatch
+        assert node.get_stats(absent) is None         # nowhere
+        assert node.read_entry("stats", on_hub) is not None
+    assert local.get_stats(on_hub) == STATS           # promoted to disk
+
+    counters = collector.metrics.counters()
+
+    def counter(name):
+        return counters.get(name, 0)
+
+    tiers = {name: (counter(f"cache.{name}.hits"),
+                    counter(f"cache.{name}.misses"))
+             for name in ("mem", "disk", "remote")}
+    assert tiers == {"mem": (3, 5), "disk": (2, 3), "remote": (1, 2)}
+    assert (counter("cache.hits"), counter("cache.misses"),
+            counter("cache.corrupt")) == (5, 3, 1)
+    assert counter("cache.remote_corrupt") == 1
+    assert counter("cache.hits") + counter("cache.corrupt") \
+        == sum(hits for hits, _ in tiers.values())            # (i)
+    assert counter("cache.misses") - counter("cache.corrupt") \
+        == tiers["remote"][1]                                 # (ii)
+    assert {tier.tier: (tier.hits, tier.misses)
+            for tier in node.stats().tiers} == tiers

@@ -676,12 +676,16 @@ def machines(draw):
 def test_generated_machines_sample_like_the_oracle(program, uarch, seed):
     """Every precision the machine offers, on generated programs and
     machines: the fast sampler's batches equal the per-instruction
-    Sampler's."""
+    Sampler's, and every imprecise sample reports an instruction after
+    its trigger, whatever the skid."""
     execution = Machine(uarch).attach(
         Trace(program, run_program(program).block_seq))
     for label, config in _precision_configs(uarch):
         ref, fast = _collect_both(execution, config, seed)
         _assert_batches_equal(ref, fast, f"{uarch} ({label})")
+        if config.event.precision is Precision.IMPRECISE:
+            assert (ref.reported_idx > ref.trigger_idx).all(), \
+                f"{uarch} ({label}): a PMI reported at or before its trigger"
 
 
 # -- overflow edge cases ----------------------------------------------------

@@ -70,6 +70,21 @@ def test_lbr_depth_that_holds_no_segment_rejected(depth):
         assert dataclasses.replace(IVY_BRIDGE, lbr_depth=ok).lbr_depth == ok
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pmi_skid_cycles", -1), ("pmi_jitter_cycles", -1),
+    ("ooo_hide_cycles", -1), ("pebs_arming_cycles", -1),
+    ("ibs_arming_cycles", -1), ("mispredict_penalty_cycles", -1),
+    ("ibs_flush_window", -1), ("ibs_dispatch_group", 0),
+])
+def test_negative_delay_or_empty_dispatch_group_rejected(field, value):
+    """A negative delay or window, or an IBS dispatch group of no uops,
+    describes no machine; each is refused when the machine is made."""
+    with pytest.raises(PMUConfigError, match=field):
+        dataclasses.replace(IVY_BRIDGE, **{field: value})
+    assert getattr(dataclasses.replace(IVY_BRIDGE, **{field: value + 1}),
+                   field) == value + 1
+
+
 def test_missing_latency_class_rejected():
     partial = {LatencyClass.SINGLE: 1}
     with pytest.raises(PMUConfigError, match="missing latency"):

@@ -1,5 +1,8 @@
 """Unit tests for campaign specifications and their expansion."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import SweepError
@@ -78,6 +81,35 @@ class TestCampaignSpec:
         spec = make_spec()
         path = spec.save(tmp_path / "spec.json")
         assert CampaignSpec.load(path) == spec
+
+    def test_concurrent_saves_of_one_path_never_collide(self, tmp_path):
+        """Writers of one document each publish through a private temp
+        file: none fails, the survivor is whole, and no temp file stays."""
+        spec = make_spec()
+        path = tmp_path / "spec.json"
+        errors: list[Exception] = []
+
+        def writer() -> None:
+            try:
+                for _ in range(100):
+                    spec.save(path)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert CampaignSpec.load(path) == spec
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_from_dict_log_range_period_axis(self):
         document = make_spec().to_dict()
