@@ -284,26 +284,16 @@ class Harness:
 
     # -- cells -------------------------------------------------------------
 
-    def evaluate_cell(
-        self,
-        spec: CellSpec,
-        abort: Callable[[], bool] | None = None,
-        fidelity_top_n: int | None = None,
-    ) -> CellScores:
-        """Scores of one cell: accuracy stats and, when ``fidelity_top_n``
-        is given, consumer fidelity at that top-N.
+    def lookup_cell(
+        self, spec: CellSpec, fidelity_top_n: int | None = None
+    ) -> CellScores | None:
+        """The scores :meth:`evaluate_cell` would return when they need no
+        evaluation, else ``None``; never evaluates or writes.
 
-        A method that is not implementable on the machine (the paper's
-        blank cells) scores ``CellScores(None, None)``.  Each half is
+        A blank cell scores ``CellScores(None, None)``.  Each half is
         looked up in the in-process memo, then the persistent cache (if
-        any).  What is missing is evaluated, counted as
-        ``harness.cells_evaluated`` / ``harness.fidelity_evaluated``, and
-        written; a half that was already cached is not written again.  A
-        cell that needs fidelity samples once per seed and scores both
-        halves from that pass
-        (:func:`~repro.fidelity.evaluate.evaluate_fidelity`).  ``abort``
-        (an optional zero-arg callable) is polled between seeded repeats;
-        an aborted cell writes nothing to either cache.
+        any); a half the cache holds joins the memo, whether or not the
+        other half is found.
         """
         spec = spec.resolved(spec.period or self.period_for(spec.workload))
         want_fidelity = fidelity_top_n is not None
@@ -328,10 +318,39 @@ class Harness:
                     self._fidelity_digest(spec, fidelity_top_n))
                 if fidelity is not None:
                     self._fidelity[fidelity_key] = fidelity
+        if stats is None or (want_fidelity and fidelity is None):
+            return None
+        return CellScores(stats, fidelity)
+
+    def evaluate_cell(
+        self,
+        spec: CellSpec,
+        abort: Callable[[], bool] | None = None,
+        fidelity_top_n: int | None = None,
+    ) -> CellScores:
+        """Scores of one cell: accuracy stats and, when ``fidelity_top_n``
+        is given, consumer fidelity at that top-N.
+
+        What :meth:`lookup_cell` finds is returned as is.  What is missing
+        is evaluated, counted as ``harness.cells_evaluated`` /
+        ``harness.fidelity_evaluated``, and written; a half that was
+        already cached is not written again.  A cell that needs fidelity
+        samples once per seed and scores both halves from that pass
+        (:func:`~repro.fidelity.evaluate.evaluate_fidelity`).  ``abort``
+        (an optional zero-arg callable) is polled between seeded repeats;
+        an aborted cell writes nothing to either cache.
+        """
+        scores = self.lookup_cell(spec, fidelity_top_n)
+        if scores is not None:
+            return scores
+        spec = spec.resolved(spec.period or self.period_for(spec.workload))
+        want_fidelity = fidelity_top_n is not None
+        fidelity_key = (spec, fidelity_top_n)
+        # The halves the lookup found are in the memo now.
+        stats = self._cells.get(spec)
+        fidelity = self._fidelity.get(fidelity_key)
         fresh_stats = stats is None
         fresh_fidelity = want_fidelity and fidelity is None
-        if not (fresh_stats or fresh_fidelity):
-            return CellScores(stats, fidelity)
 
         with self.pinned_workload(spec.workload), \
                 span("cell", machine=spec.machine, workload=spec.workload,

@@ -1,9 +1,13 @@
 """Parallel cell evaluation over a process pool.
 
 Table 1/2 cells are fully independent (machine, workload, method, period)
-experiments, so they parallelize embarrassingly.  The unit of dispatch is a
-*slice*: every :class:`~repro.core.experiment.CellSpec` of one (workload,
-machine) pair, in spec order.  A workload's first slice builds its trace
+experiments, so they parallelize embarrassingly.  Cells that need no
+evaluation (blank cells, and cells whose scores the cache already holds)
+are answered in the calling process before anything is dispatched, so a
+rerun pays only for what the cache cannot answer and a fully cached one
+starts no pool.  The unit of dispatch is a *slice*: every
+:class:`~repro.core.experiment.CellSpec` of one (workload, machine) pair,
+in spec order.  A workload's first slice builds its trace
 (or loads it from the persistent cache) and returns the block sequence;
 the parent then submits the workload's other machine slices with that
 sequence, which their harnesses adopt
@@ -158,17 +162,26 @@ def evaluate_cells(
     on_result: ProgressFn | None = None,
     abort: Callable[[], bool] | None = None,
     fidelity_top_n: int | None = None,
+    on_batch: Callable[[], None] | None = None,
 ) -> dict[CellSpec, CellScores]:
     """Evaluate many cells, serially or across ``jobs`` worker processes.
 
-    ``jobs <= 1`` runs in-process on ``harness`` (creating one if needed),
-    preserving today's serial path exactly.  With ``jobs > 1`` the cells
-    are dispatched one (workload, machine) slice per task
-    (:func:`plan_slices`): each workload's first slice at once, its other
-    machine slices with the block sequence the first one returns, so no
-    worker re-interprets a program.  ``parallel.cells_dispatched`` counts
-    the dispatched cells, and each worker's counters are merged back into
-    the installed collector.
+    First the calling process answers, on ``harness`` (created if
+    needed), every cell that needs no evaluation
+    (:meth:`~repro.core.experiment.Harness.lookup_cell`: blank cells and
+    cells whose scores the cache holds), and reports them as one batch.
+    Only the rest are evaluated, so a fully cached call starts no pool.
+    ``jobs <= 1`` evaluates them in-process on ``harness``.  With
+    ``jobs > 1`` they are dispatched one (workload, machine) slice per
+    task (:func:`plan_slices`): each workload's first slice at once, its
+    other machine slices with the block sequence the first one returns,
+    so no worker re-interprets a program.  ``parallel.cells_dispatched``
+    counts the dispatched cells, and each worker's counters are merged
+    back into the installed collector.
+
+    ``on_result`` is called once per cell, and ``on_batch`` after each
+    batch of results that arrived together: the cells answered up
+    front, each serially evaluated cell, each finished slice.
 
     ``abort`` is polled between seeded repeats inside each cell on the
     serial path, and each time a slice completes on the parallel path (a
@@ -183,26 +196,45 @@ def evaluate_cells(
     total = len(specs)
     results: dict[CellSpec, CellScores] = {}
     done = 0
+    harness = harness or Harness(config, cache=cache)
 
-    if jobs <= 1:
-        harness = harness or Harness(config, cache=cache)
-        for spec in specs:
-            started = time.perf_counter()
-            scores = harness.evaluate_cell(spec, abort=abort,
-                                           fidelity_top_n=fidelity_top_n)
+    def deliver(batch: list[CellResult]) -> None:
+        nonlocal done
+        for spec, scores, seconds in batch:
             results[spec] = scores
             done += 1
             if on_result is not None:
-                on_result(spec, scores, time.perf_counter() - started,
-                          done, total)
+                on_result(spec, scores, seconds, done, total)
+        if batch and on_batch is not None:
+            on_batch()
+
+    answered: list[CellResult] = []
+    missing: list[CellSpec] = []
+    for spec in specs:
+        started = time.perf_counter()
+        scores = harness.lookup_cell(spec, fidelity_top_n)
+        if scores is None:
+            missing.append(spec)
+        else:
+            answered.append((spec, scores, time.perf_counter() - started))
+    deliver(answered)
+
+    if jobs <= 1:
+        for spec in missing:
+            started = time.perf_counter()
+            scores = harness.evaluate_cell(spec, abort=abort,
+                                           fidelity_top_n=fidelity_top_n)
+            deliver([(spec, scores, time.perf_counter() - started)])
+        return results
+    if not missing:
         return results
 
-    plan = plan_slices(specs)
+    plan = plan_slices(missing)
     slices = sum(len(pieces) for pieces in plan)
     cache_config = cache.describe() if cache is not None else None
     observed = enabled()
-    count("parallel.cells_dispatched", total)
-    with span("parallel", jobs=jobs, slices=slices, cells=total):
+    count("parallel.cells_dispatched", len(missing))
+    with span("parallel", jobs=jobs, slices=slices, cells=len(missing)):
         workers = min(jobs, max(slices, 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
 
@@ -235,9 +267,5 @@ def evaluate_cells(
                     collector = get_collector()
                     if collector is not None:
                         collector.merge_spans(spans)
-                    for spec, scores, seconds in cell_results:
-                        results[spec] = scores
-                        done += 1
-                        if on_result is not None:
-                            on_result(spec, scores, seconds, done, total)
+                    deliver(cell_results)
     return results

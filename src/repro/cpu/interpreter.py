@@ -281,6 +281,33 @@ def compile_program(program: Program, dlen: int) -> list[Step]:
     return steps
 
 
+#: Compiled steps a derived program starts from, by block index, held
+#: until its first run (:func:`share_steps`).
+_SHARED: "weakref.WeakKeyDictionary[Program, dict[int, Step]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def share_steps(source: Program, derived: Program) -> None:
+    """Let ``derived``, a :meth:`~repro.isa.program.Program.derive` of
+    ``source``, start from the steps ``source`` has compiled.
+
+    A block the two programs share compiles to the same step in both, so
+    it keeps ``source``'s step when ``source`` has run it. The blocks of
+    the replaced function, and shared blocks ``source`` never ran, stay
+    stubs that compile on their first run in ``derived``. A ``source``
+    that never ran shares nothing.
+    """
+    art = _ARTIFACTS.get(source)
+    if art is None:
+        return
+    ours, theirs = derived.blocks, source.blocks
+    # A compiled step runs with the builtins-only globals; a stub does not.
+    _SHARED[derived] = {
+        b: step for b, step in enumerate(art.steps)
+        if ours[b] is theirs[b] and step.__globals__ is _STEP_GLOBALS
+    }
+
+
 # -- the driver --------------------------------------------------------------
 
 #: Consecutive zero-progress lane attempts before a header is abandoned
@@ -308,6 +335,8 @@ class _ProgramArtifacts:
         program.finalize()
         self.dlen = int(program.data.size)
         self.steps = compile_program(program, self.dlen)
+        for b, step in _SHARED.pop(program, {}).items():
+            self.steps[b] = step
         tables = program.tables
         self.kinds = [int(k) for k in tables.block_kind]
         self.conts = [int(c) for c in tables.fall_next]

@@ -40,6 +40,9 @@ INDEX_MEMO_BYTES = 8 << 20
 _index_memo: "OrderedDict[tuple[int, int, int], np.ndarray]" = OrderedDict()
 _index_memo_lock = threading.Lock()
 
+#: Indices widened at a time by :func:`_resample_means` (a 256 KiB block).
+GATHER_BLOCK = 1 << 15
+
 
 def _resample_indices(n: int, resamples: int, seed: int) -> np.ndarray:
     """The ``(resamples, n)`` bootstrap index matrix of ``seed``.
@@ -65,6 +68,28 @@ def _resample_indices(n: int, resamples: int, seed: int) -> np.ndarray:
             _, dropped = _index_memo.popitem(last=False)
             held -= dropped.nbytes
     return idx
+
+
+def _resample_means(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``data[idx].mean(axis=1)``, bit for bit, a block of rows at a time.
+
+    Gathering through the memo's narrow index types casts every index
+    on the fly; widening a block of rows to native-width indices first
+    and gathering through that picks the same elements about twice as
+    fast, while the memo stays narrow and no ``data[idx]``-sized array
+    is ever made.  Each row's mean is reduced on its own, so blocking
+    the rows changes no bit.
+    """
+    rows, n = idx.shape
+    step = max(1, GATHER_BLOCK // n)
+    means = np.empty(rows)
+    wide = np.empty((min(step, rows), n), dtype=np.intp)
+    for start in range(0, rows, step):
+        block = idx[start:start + step]
+        indices = wide[:len(block)]
+        np.copyto(indices, block)
+        data[indices].mean(axis=1, out=means[start:start + len(block)])
+    return means
 
 
 @dataclass(frozen=True)
@@ -103,8 +128,8 @@ def bootstrap_ci(
     if data.size == 1:
         return BootstrapCI(mean=mean, lo=mean, hi=mean,
                            confidence=confidence, samples=1)
-    idx = _resample_indices(int(data.size), resamples, seed)
-    means = data[idx].mean(axis=1)
+    means = _resample_means(
+        data, _resample_indices(int(data.size), resamples, seed))
     alpha = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(means, (alpha, 1.0 - alpha))
     return BootstrapCI(mean=mean, lo=float(lo), hi=float(hi),

@@ -462,7 +462,9 @@ class _Coordinator:
             fresh[attempt.point] = stats
             if self.spec.fidelity:
                 self.fresh_fidelity[attempt.point] = value.fidelity
+            # Each cell arrives alone, so each is its own batch.
             journal.record(attempt.point, stats, value.fidelity)
+            journal.sync()
             count("sweep.cells_done")
             if stats is None:
                 count("sweep.cells_skipped")

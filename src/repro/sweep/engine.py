@@ -7,7 +7,9 @@ One campaign run is:
 2. subtract every point already recorded in the journal (``--resume``),
 3. evaluate the remainder through the existing parallel scheduler
    (:func:`repro.core.parallel.evaluate_cells`) and artifact cache,
-   appending each completed point to the journal the moment it lands,
+   appending each completed point to the journal the moment it lands
+   and syncing the journal once per batch of points that land together
+   (the cells the cache answered, each finished slice, each serial cell),
 4. assemble the full :class:`CampaignResult` (resumed + fresh cells) in
    expansion order.
 
@@ -282,6 +284,7 @@ def run_campaign(
                     jobs=jobs,
                     cache=cache,
                     on_result=on_result,
+                    on_batch=journal.sync,
                     fidelity_top_n=(spec.fidelity_top_n if spec.fidelity
                                     else None),
                 )

@@ -1,10 +1,15 @@
 """Append-only campaign checkpoints.
 
 The journal is the campaign's crash-safety mechanism: every completed cell
-appends exactly one JSON line, flushed immediately, so an interrupted run
-(SIGKILL included) loses at most the cell that was in flight.  On resume
-the engine replays the journal, skips every recorded point, and evaluates
-only the remainder — ``repro-pmu sweep run SPEC --resume``.
+appends exactly one JSON line, flushed to the OS immediately, so an
+interrupted run (SIGKILL included) loses at most the cell that was in
+flight.  Lines reach the disk with one ``fsync`` per batch of results that
+arrive together (:meth:`CampaignJournal.sync`: the cells the cache
+answered, each finished pool slice, each serially evaluated cell) and
+with the header, so a power loss loses at most one batch; resume answers
+those cells again from the cache or re-evaluates them.  On resume the
+engine replays the journal, skips every recorded point, and evaluates only
+the remainder — ``repro-pmu sweep run SPEC --resume``.
 
 Format (one JSON object per line)::
 
@@ -81,6 +86,7 @@ class CampaignJournal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fh: IO[str] | None = None
+        self._unsynced = False
 
     # -- writing -----------------------------------------------------------
 
@@ -104,6 +110,7 @@ class CampaignJournal:
                 "spec_digest": spec.digest(),
                 "points": spec.num_points,
             })
+            self.sync()
 
     def _trim_torn_tail(self) -> None:
         data = self.path.read_bytes()
@@ -119,7 +126,8 @@ class CampaignJournal:
         stats: AccuracyStats | None,
         fidelity: FidelityStats | None = None,
     ) -> None:
-        """Append one completed point, flushed to the OS immediately.
+        """Append one completed point, flushed to the OS immediately
+        (durable on disk at the next :meth:`sync`).
 
         ``fidelity`` adds its additive key only when present, so plain
         campaigns' journal bytes stay exactly as before.
@@ -139,10 +147,18 @@ class CampaignJournal:
             raise SweepError("journal is not open")
         self._fh.write(json.dumps(event) + "\n")
         self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._unsynced = True
+
+    def sync(self) -> None:
+        """Make every line written so far durable: one ``fsync``, skipped
+        when nothing was written since the last one."""
+        if self._fh is not None and self._unsynced:
+            os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         if self._fh is not None:
+            self.sync()
             self._fh.close()
             self._fh = None
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cpu.interpreter import run_program
+from repro.cpu.interpreter import run_program, share_steps
 from repro.errors import WorkloadError
 from repro.isa.builder import FunctionBuilder, ProgramBuilder
 from repro.isa.function import Function
@@ -134,21 +134,27 @@ class AppStructure:
     data: np.ndarray
 
 
-def _mix_weights(profile: AppProfile) -> tuple[list[str], np.ndarray]:
-    """The profile's work kinds and their normalized weights."""
+def _mix_cdf(profile: AppProfile) -> tuple[list[str], np.ndarray]:
+    """The profile's work kinds and the cumulative distribution of their
+    normalized weights, built as ``Generator.choice`` builds it from
+    ``p``: a cumulative sum divided by its last entry."""
     names = list(profile.mix)
     weights = np.asarray([profile.mix[k] for k in names], dtype=np.float64)
-    return names, weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return names, cdf
 
 
 def _draw_work(profile: AppProfile, rng: np.random.Generator,
                mix: tuple[list[str], np.ndarray]) -> WorkPlan:
     lo, hi = profile.block_size
     size = int(rng.integers(lo, hi + 1))
-    names, weights = mix
-    # Drawing indices takes the same random numbers as drawing the names.
+    names, cdf = mix
+    # rng.choice(len(names), size=size, p=weights) draws these very
+    # indices from the same random numbers, but validates p and rebuilds
+    # its CDF on every call.
     return WorkPlan(kinds=[names[i] for i in
-                           rng.choice(len(names), size=size, p=weights)])
+                           cdf.searchsorted(rng.random(size), side="right")])
 
 
 def generate_structure(
@@ -156,7 +162,7 @@ def generate_structure(
 ) -> AppStructure:
     """Draw the static shape of an application (deterministic in seed)."""
     rng = np.random.default_rng(seed)
-    mix = _mix_weights(profile)
+    mix = _mix_cdf(profile)
 
     # Partition functions across levels: level 0 is the dispatch surface,
     # deeper levels shrink geometrically.
@@ -398,4 +404,6 @@ def build_app(
     per_iteration = max(1.0, pilot_instr / _PILOT_ITERATIONS)
     target = profile.target_instructions * scale
     iterations = max(1, int(round(target / per_iteration)))
-    return pilot.derive(_emit_main(structure, iterations))
+    program = pilot.derive(_emit_main(structure, iterations))
+    share_steps(pilot, program)
+    return program

@@ -533,18 +533,37 @@ def test_generated_programs_match_the_oracle(case):
 # -- compilation state ------------------------------------------------------
 
 
-def test_blocks_compile_on_first_run_only():
-    """After a run of an app, every block that never ran is still the
-    stub that would compile it."""
-    from repro.workloads.registry import get_workload
+def test_blocks_compile_on_first_run_only(monkeypatch):
+    """No block compiles before it first runs in some program. An app is
+    derived from its calibration pilot and starts from the pilot's
+    compiled steps, so after a run of the app exactly the blocks that ran
+    in it, or in the pilot outside the replaced ``main``, are compiled;
+    every other block is still the stub that would compile it."""
+    from repro.workloads.apps import generator
+    from repro.workloads.apps.profiles import APP_PROFILES
 
-    program = get_workload("omnetpp").build(scale=0.01)
+    pilot_runs = []
+
+    def recording(program):
+        result = run_program(program)
+        pilot_runs.append(set(result.block_seq.tolist()))
+        return result
+
+    monkeypatch.setattr(generator, "run_program", recording)
+    program = generator.build_app(APP_PROFILES["omnetpp"], scale=0.01)
+    (in_pilot,) = pilot_runs
+    assert program not in interpreter._ARTIFACTS    # not compiled yet
     ran = set(run_program(program).block_seq.tolist())
     steps = interpreter._ARTIFACTS[program].steps
-    never = [b for b in range(program.num_blocks) if b not in ran]
-    assert never and ran
-    assert all(steps[b].__name__ == "compile_on_first_run" for b in never)
-    assert any(steps[b].__name__ == "_step" for b in ran)
+    main = {block.index for block in program.function("main").blocks}
+    compiled = {b for b, step in enumerate(steps)
+                if step.__name__ == "_step"}
+    stubs = {b for b, step in enumerate(steps)
+             if step.__name__ == "compile_on_first_run"}
+    assert compiled == ran | (in_pilot - main)
+    assert stubs == set(range(program.num_blocks)) - compiled
+    # Each kind of block is there: shared from the pilot only, never run.
+    assert (in_pilot - main) - ran and stubs
 
 
 @pytest.mark.parametrize("name", ["latency_biased", "omnetpp"])

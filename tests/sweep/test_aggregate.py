@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sweep import (
     bootstrap_ci,
@@ -14,6 +15,7 @@ from repro.sweep.aggregate import (
     BOOTSTRAP_RESAMPLES,
     BOOTSTRAP_SEED,
     _resample_indices,
+    _resample_means,
 )
 
 
@@ -57,6 +59,21 @@ class TestBootstrapCI:
             lo, hi = np.quantile(values[idx].mean(axis=1), (0.025, 0.975))
             assert (first.lo, first.hi) == (float(lo), float(hi)), n
             assert again == first, n
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           resamples=st.sampled_from([1, 7, BOOTSTRAP_RESAMPLES]))
+    def test_blocked_gather_is_bit_identical(self, n, seed, resamples):
+        """The blocked native-width gather picks the same elements as
+        ``data[idx]`` on the memo's narrow indices, so every resample
+        mean is the same to the bit (at n above 16 the rows span several
+        blocks, the last one partial)."""
+        rng = np.random.default_rng(seed)
+        data = rng.normal(0.5, 0.3, size=n) * 10.0 ** rng.integers(-3, 4)
+        idx = _resample_indices(n, resamples, seed)
+        assert idx.dtype == np.min_scalar_type(n - 1)
+        expected = data[idx].mean(axis=1)
+        assert _resample_means(data, idx).tobytes() == expected.tobytes()
 
     def test_index_matrix_is_shared_read_only(self):
         shared = _resample_indices(75, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED)

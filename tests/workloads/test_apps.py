@@ -141,6 +141,25 @@ def test_work_draws_by_index_keep_every_plan(name, monkeypatch):
         assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("name", sorted(APP_PROFILES) + ["tiny"])
+def test_cdf_draw_equals_generator_choice(name):
+    """A search of the prebuilt CDF gives exactly the indices
+    ``Generator.choice`` draws for the same weights, and leaves the
+    generator where ``choice`` leaves it, for every size and seed."""
+    profile = APP_PROFILES.get(name, _TINY)
+    names, cdf = generator._mix_cdf(profile)
+    weights = np.asarray([profile.mix[k] for k in names], dtype=np.float64)
+    weights /= weights.sum()
+    for seed in range(40):
+        for size in (0, 1, 2, 3, 7, 16, 33, 100, 1000):
+            ours = np.random.default_rng([seed, size])
+            theirs = np.random.default_rng([seed, size])
+            drawn = cdf.searchsorted(ours.random(size), side="right")
+            chosen = theirs.choice(len(names), size=size, p=weights)
+            assert np.array_equal(drawn, chosen), (seed, size)
+            assert ours.random() == theirs.random(), (seed, size)
+
+
 def test_zipf_dispatch_concentrates_hotness():
     structure = generate_structure(_TINY, seed=9)
     counts = {}
